@@ -1718,8 +1718,9 @@ fn wheel_s4<G: Governor>(left: &Shapes, right: &Shapes, meter: &mut G) -> Result
 /// leaves implementations that a *different* chain dominates (e.g. a wider
 /// `A` arm whose heights bring no benefit). The full 4-D prune removes
 /// them and re-chains the survivors — this is what keeps the plain
-/// algorithm's non-redundant counts at \[9\]'s scale. Skipped above the
-/// configured threshold (the prune is `O(n·front)`).
+/// algorithm's non-redundant counts at \[9\]'s scale. The cross-`w2`
+/// pass is skipped above the configured threshold
+/// ([`fp_shape::prune::prune_l_block`] documents both passes).
 fn global_l_prune<G: Governor>(
     shapes: &mut Shapes,
     config: &OptimizeConfig,
@@ -1734,65 +1735,23 @@ fn global_l_prune<G: Governor>(
     else {
         return;
     };
-    if l_shapes.is_empty() || config.global_l_prune.is_none() {
+    let Some(cross_limit) = config.global_l_prune else {
         return;
-    }
-    let before = l_shapes.len();
+    };
     if fp_shape::legacy::legacy_kernels() {
         return global_l_prune_legacy(l_shapes, prov, chains, config, meter, &mut scratch.front);
     }
-    // The zipped pair buffer lives in the arena: every wheel join runs
-    // this prune, and the collect was a per-block allocation.
-    let pruned = &mut scratch.lprune;
-    pruned.clear();
-    pruned.extend(l_shapes.iter().copied().zip(prov.iter().copied()));
-
-    // Pass 1 (always): same-w2 dominance, O(n log n), against the
-    // arena's reusable staircase-front buffer; the canonical variant
-    // restores output order with an O(n) group reversal instead of a
-    // second sort.
-    fp_shape::prune::pareto_min_lshapes_within_w2_canonical_scratch(
-        pruned,
-        |&(l, _)| l,
-        &mut scratch.front,
-    );
-
-    // Pass 2 (bounded): full cross-w2 dominance, O(n·front). Pass 1
-    // left the list grouped by w2 with no same-w2 dominance — exactly
-    // the precondition of the fused group sweep, which prunes in place
-    // with no sorts and no allocations.
-    if config.global_l_prune.is_some_and(|t| pruned.len() <= t) {
-        fp_shape::prune::pareto_min_lshapes_grouped_scratch(
-            pruned,
-            |&(l, _)| l,
-            &mut scratch.lfront,
-        );
-    }
-    if pruned.len() == before {
-        // Nothing was redundant; keep the existing (already valid) chains.
-        return;
-    }
-    // Re-chain the survivors through the flat decomposition arena and
-    // rebuild into the block's own buffers — the whole rebuild reuses
-    // existing capacity instead of allocating per-chain vectors.
-    scratch.chain.partition(pruned, |&(l, _)| l);
-    l_shapes.clear();
-    prov.clear();
-    chains.clear();
-    for &i in &scratch.chain.perm {
-        let (l, p) = pruned[i as usize];
-        l_shapes.push(l);
-        prov.push(p);
-    }
-    chains.extend_from_slice(&scratch.chain.spans);
-    meter.discard(before - l_shapes.len());
+    let removed =
+        fp_shape::prune::prune_l_block(l_shapes, prov, chains, cross_limit, &mut scratch.lprune);
+    meter.discard(removed);
 }
 
 /// Pre-arena cross-chain prune, kept verbatim behind
 /// [`fp_shape::legacy::legacy_kernels`] as the ablation baseline: a
-/// fresh `collect` per block and the sort-based cross-`w2` pass instead
-/// of the fused group sweep. Results are identical to
-/// [`global_l_prune`]; only allocation and sweep strategy differ.
+/// fresh `collect` per block, a stable four-key sort for the same-`w2`
+/// pass and the reference kernel for the cross-`w2` pass, blind to the
+/// chain structure. Results are identical to [`global_l_prune`]; only
+/// allocation and sweep strategy differ.
 fn global_l_prune_legacy<G: Governor>(
     l_shapes: &mut Vec<LShape>,
     prov: &mut Vec<(u32, u32)>,
@@ -2372,5 +2331,207 @@ mod tests {
             let layout = realize(&bench.tree, &lib, &sel.assignment).expect("valid");
             prop_assert_eq!(layout.area(), sel.area);
         }
+    }
+}
+
+/// The chain-structured L-block prune against the reference kernels and
+/// the legacy path, on blocks built the way the wheel stages build them.
+#[cfg(test)]
+mod l_prune_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// An L-block: shapes, provenance, chain spans.
+    type Block = (Vec<LShape>, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+    fn into_block(shapes: Shapes) -> Block {
+        match shapes {
+            Shapes::L {
+                shapes,
+                prov,
+                chains,
+            } => (shapes, prov, chains),
+            Shapes::Rect { .. } => panic!("expected an L-block"),
+        }
+    }
+
+    fn rect_block(rects: Vec<Rect>) -> Shapes {
+        let list = RList::from_candidates(rects);
+        let prov = vec![(0, 0); list.len()];
+        Shapes::Rect { list, prov }
+    }
+
+    /// Prunes `block` with [`global_l_prune`] and asserts:
+    /// * survivor shapes, their order and the chain spans equal the
+    ///   reference — [`fp_shape::prune::pareto_min_lshapes_by`] (or the
+    ///   within-`w2` kernel alone above `limit`) re-chained by
+    ///   [`fp_shape::chain_indices`] — or, when nothing is redundant,
+    ///   the untouched block;
+    /// * everything, provenance included, equals
+    ///   [`global_l_prune_legacy`].
+    ///
+    /// Returns the pruned block.
+    fn check(block: &Block, limit: usize) -> Block {
+        let config = OptimizeConfig::default().with_global_l_prune(Some(limit));
+        let mut gov = ResourceGovernor::new(None);
+        let (shapes, prov, chains) = block.clone();
+        let mut current = Shapes::L {
+            shapes,
+            prov,
+            chains,
+        };
+        global_l_prune(&mut current, &config, &mut gov, &mut JoinScratch::new());
+        let current = into_block(current);
+
+        let zipped: Vec<(LShape, (u32, u32))> = block
+            .0
+            .iter()
+            .copied()
+            .zip(block.1.iter().copied())
+            .collect();
+        let pass1 = fp_shape::prune::pareto_min_lshapes_within_w2_by(zipped.clone(), |&(l, _)| l);
+        let reference = if pass1.len() <= limit {
+            fp_shape::prune::pareto_min_lshapes_by(zipped, |&(l, _)| l)
+        } else {
+            pass1
+        };
+        if reference.len() == block.0.len() {
+            assert_eq!(&current, block, "nothing redundant: block untouched");
+        } else {
+            let survivors: Vec<LShape> = reference.iter().map(|&(l, _)| l).collect();
+            let (mut shapes, mut chains) = (Vec::new(), Vec::new());
+            for chain in fp_shape::chain_indices(&survivors) {
+                let start = shapes.len() as u32;
+                shapes.extend(chain.iter().map(|&i| survivors[i]));
+                chains.push((start, shapes.len() as u32));
+            }
+            assert_eq!(current.0, shapes, "survivor shapes and order");
+            assert_eq!(current.2, chains, "chain spans");
+        }
+
+        let (mut shapes, mut prov, mut chains) = block.clone();
+        global_l_prune_legacy(
+            &mut shapes,
+            &mut prov,
+            &mut chains,
+            &config,
+            &mut gov,
+            &mut Vec::new(),
+        );
+        assert_eq!(current, (shapes, prov, chains), "legacy path");
+        current
+    }
+
+    /// A deterministic Definition 3 chain from `seed`: `w1` strictly
+    /// falling, heights never falling and one of them rising each step.
+    fn chain(w2: u64, len: usize, seed: u64) -> Vec<LShape> {
+        let mut rng = fp_prng::SplitMix64::new(seed);
+        let mut w1 = w2 + 3 * len as u64 + rng.next_u64() % 6;
+        let mut h2 = 1 + rng.next_u64() % 5;
+        let mut h1 = h2 + rng.next_u64() % 4;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(LShape::new_canonical(w1, w2, h1, h2));
+            w1 -= 1 + rng.next_u64() % 3;
+            let (d1, d2) = (rng.next_u64() % 3, rng.next_u64() % 3);
+            h2 += if d1 == 0 && d2 == 0 { 1 } else { d2 };
+            h1 = (h1 + d1).max(h2);
+        }
+        out
+    }
+
+    /// Limits that run the cross-`w2` pass on every block, on none, or on
+    /// some, depending on the pass-1 survivor count.
+    const LIMITS: [usize; 4] = [OptimizeConfig::DEFAULT_GLOBAL_L_PRUNE, 0, 60, 200];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Stage 1, 2 and 3 blocks from random child R-lists. Small
+        /// coordinates give several chains per `w2` and exact duplicates
+        /// with distinct provenance; stage-2 blocks run to a few thousand
+        /// implementations, across the index crossover.
+        #[test]
+        fn l_prune_matches_reference_on_wheel_blocks(
+            arms in proptest::collection::vec(
+                proptest::collection::vec((1u64..4, 1u64..4), 1..20),
+                4..5,
+            ),
+            pick in 0usize..4,
+        ) {
+            let limit = LIMITS[pick];
+            // Child i as an irreducible R-list: widths falling, heights
+            // rising by the sampled steps.
+            let rects = |i: usize| -> Vec<Rect> {
+                let (mut w, mut h) = (4 + 4 * arms[i].len() as u64, 1);
+                arms[i]
+                    .iter()
+                    .map(|&(dw, dh)| {
+                        let r = Rect::new(w, h);
+                        (w, h) = (w - dw, h + dh);
+                        r
+                    })
+                    .collect()
+            };
+            let mut gov = ResourceGovernor::new(None);
+            let s1 = wheel_s1(&rect_block(rects(0)), &rect_block(rects(1)), &mut gov)
+                .expect("stage 1");
+            let (shapes, prov, chains) = check(&into_block(s1), limit);
+            let parent = Shapes::L { shapes, prov, chains };
+            let s2 = wheel_s23(&parent, &rect_block(rects(2)), joins::stage2, &mut gov)
+                .expect("stage 2");
+            let (shapes, prov, chains) = check(&into_block(s2), limit);
+            let parent = Shapes::L { shapes, prov, chains };
+            let s3 = wheel_s3(&parent, &rect_block(rects(3)), &mut gov).expect("stage 3");
+            check(&into_block(s3), limit);
+        }
+
+        /// Random chain blocks: up to 150 chains over eight `w2` values, a
+        /// quarter of them exact copies of the chain before (same shapes,
+        /// other provenance).
+        #[test]
+        fn l_prune_matches_reference_on_chain_blocks(
+            specs in proptest::collection::vec((0u64..8, 1usize..16, 0u64..1_000_000, 0u8..4), 1..150),
+            pick in 0usize..4,
+        ) {
+            let mut block: Block = (Vec::new(), Vec::new(), Vec::new());
+            let mut previous: Vec<LShape> = Vec::new();
+            for (c, &(w2, len, seed, copy)) in specs.iter().enumerate() {
+                let shapes = if copy == 0 && !previous.is_empty() {
+                    previous.clone()
+                } else {
+                    chain(4 + 2 * w2, len, seed)
+                };
+                let start = block.0.len() as u32;
+                block.1.extend((0..shapes.len() as u32).map(|k| (c as u32, k)));
+                block.0.extend_from_slice(&shapes);
+                block.2.push((start, block.0.len() as u32));
+                previous = shapes;
+            }
+            check(&block, LIMITS[pick]);
+        }
+    }
+
+    /// Above the default threshold the cross-`w2` pass is skipped: 9 000
+    /// `w2` values with two chains each, the second repeating or
+    /// dominating the first, leave 54 000 pass-1 survivors.
+    #[test]
+    fn l_prune_above_threshold_matches_legacy() {
+        let mut block: Block = (Vec::new(), Vec::new(), Vec::new());
+        for w2 in 1..=9_000u64 {
+            for c in 0..2u64 {
+                let start = block.0.len() as u32;
+                for k in 0..6u64 {
+                    let h2 = 5 + 2 * k + c * (k % 2);
+                    block
+                        .0
+                        .push(LShape::new_canonical(w2 + 20 - 3 * k, w2, 10 + 2 * k, h2));
+                    block.1.push((c as u32, k as u32));
+                }
+                block.2.push((start, block.0.len() as u32));
+            }
+        }
+        let pruned = check(&block, OptimizeConfig::DEFAULT_GLOBAL_L_PRUNE);
+        assert_eq!(pruned.0.len(), 54_000);
     }
 }

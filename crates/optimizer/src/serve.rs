@@ -1805,7 +1805,10 @@ fn optimize_reply(
                     &outcome.assignment,
                 ) {
                     Ok(layout) => {
-                        let ws = layout.whitespace();
+                        // One strip decomposition serves both the
+                        // whitespace figures and the outline count.
+                        let poly = layout.polygonize();
+                        let ws = &poly.whitespace;
                         section.u128("dead_space", layout.dead_space());
                         section.u64("whitespace_regions", ws.count() as u64);
                         section.u128("whitespace_total", ws.total);
@@ -1819,7 +1822,7 @@ fn optimize_reply(
                         }
                         areas.push(']');
                         section.raw("region_areas", &areas);
-                        section.u64("outline_rings", layout.polygonize().outlines.len() as u64);
+                        section.u64("outline_rings", poly.outlines.len() as u64);
                     }
                     Err(e) => {
                         section.str("error", &format!("layout did not realize: {e}"));

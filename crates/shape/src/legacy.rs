@@ -1,8 +1,8 @@
 //! Bench-only ablation switch for the pruning kernels.
 //!
 //! The mega-scale benchmark (`mega_bench`) quantifies the speedup of the
-//! staircase-aware combine path and the flat-array L-shape dominance
-//! sweep by re-running with the pre-SoA kernels. Production code never
+//! staircase-aware combine path and the chain-structured L-block prune
+//! by re-running with the pre-SoA kernels. Production code never
 //! flips this; it exists so the comparison can run inside one process on
 //! the same instance data.
 

@@ -426,6 +426,22 @@ impl ChainScratch {
                     .iter()
                     .take_while(|t| key(t).w2 == w2)
                     .count();
+            // A group that is already one chain (w1 strictly falling,
+            // heights never falling) is what the greedy below would
+            // build from it: link it straight through.
+            let group = &items[group_start..group_end];
+            if group.windows(2).all(|w| {
+                let (a, b) = (key(&w[0]), key(&w[1]));
+                a.w1 > b.w1 && a.h1 <= b.h1 && a.h2 <= b.h2
+            }) {
+                for i in group_start..group_end - 1 {
+                    self.next[i] = i as u32 + 1;
+                }
+                self.head.push(group_start as u32);
+                self.last.push(group_end as u32 - 1);
+                group_start = group_end;
+                continue;
+            }
             self.tails.clear();
             for (i, t) in items.iter().enumerate().take(group_end).skip(group_start) {
                 let l = key(t);

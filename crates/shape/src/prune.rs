@@ -10,6 +10,8 @@
 
 use fp_geom::{LShape, Rect};
 
+use crate::ChainScratch;
+
 /// Keeps the Pareto-minimal rectangles of `items`, i.e. removes every item
 /// whose rectangle dominates another item's rectangle; exact duplicates are
 /// collapsed to one.
@@ -74,9 +76,9 @@ pub fn pareto_min_rects(items: Vec<Rect>) -> Vec<Rect> {
 /// grouping order [`crate::LListSet`] uses to carve irreducible L-lists.
 ///
 /// Complexity: `O(n log n)` for the sort plus `O(n·f)` dominance checks
-/// where `f` is the Pareto-front size; candidate sets produced by block
-/// joins have modest fronts in practice, and the sort order lets each item
-/// be checked only against the kept front.
+/// where `f` is the Pareto-front size. This is the plain reference kernel;
+/// the join hot path prunes chain-structured blocks with
+/// [`prune_l_block`] instead.
 pub fn pareto_min_lshapes_by<T>(mut items: Vec<T>, key: impl Fn(&T) -> LShape) -> Vec<T> {
     // Sort by total size ascending so that any dominator of an item appears
     // after it; then each item only needs checking against already-kept
@@ -94,138 +96,20 @@ pub fn pareto_min_lshapes_by<T>(mut items: Vec<T>, key: impl Fn(&T) -> LShape) -
         )
     });
     let mut kept: Vec<T> = Vec::new();
-    if crate::legacy::legacy_kernels() {
-        // Pre-SoA path, kept for the mega_bench ablation: scalar scan
-        // re-deriving each kept item's key through the accessor.
-        'outer: for item in items {
-            let l = key(&item);
-            for k in &kept {
-                if l.dominates(key(k)) {
-                    continue 'outer; // redundant (covers exact duplicates too)
-                }
+    'outer: for item in items {
+        let l = key(&item);
+        for k in &kept {
+            if l.dominates(key(k)) {
+                continue 'outer; // redundant (covers exact duplicates too)
             }
-            kept.push(item);
         }
-    } else {
-        // The kept front's four coordinates live in flat parallel arrays:
-        // the dominance scan is then a tight branch-light sweep over
-        // contiguous `u64`s (bitwise `&` instead of short-circuit `&&`,
-        // chunked so the compiler can vectorize) instead of re-keying a
-        // payload-carrying slice element per comparison.
-        let mut front = LFront::default();
-        for item in items {
-            let l = key(&item);
-            if front.dominates_any(l) {
-                continue; // redundant (covers exact duplicates too)
-            }
-            front.push(l);
-            kept.push(item);
-        }
+        kept.push(item);
     }
     kept.sort_by_key(|t| {
         let l = key(t);
         (l.w2, core::cmp::Reverse(l.w1), l.h1, l.h2)
     });
     kept
-}
-
-/// The kept Pareto front as four parallel coordinate arrays — the
-/// struct-of-arrays layout the 4-D dominance sweeps run over. Reusable
-/// across prunes (a [`crate::JoinScratch`] carries one) so the sweep
-/// allocates nothing once the arrays have grown to working-set size.
-#[derive(Debug, Default)]
-pub struct LFront {
-    w1: Vec<u64>,
-    w2: Vec<u64>,
-    h1: Vec<u64>,
-    h2: Vec<u64>,
-}
-
-impl LFront {
-    /// An empty front.
-    #[must_use]
-    pub fn new() -> LFront {
-        LFront::default()
-    }
-
-    /// Empties the front, keeping the arrays' capacity.
-    pub fn clear(&mut self) {
-        self.w1.clear();
-        self.w2.clear();
-        self.h1.clear();
-        self.h2.clear();
-    }
-
-    fn push(&mut self, l: LShape) {
-        self.w1.push(l.w1);
-        self.w2.push(l.w2);
-        self.h1.push(l.h1);
-        self.h2.push(l.h2);
-    }
-
-    /// `true` if `l` dominates (componentwise ≥) any front member.
-    fn dominates_any(&self, l: LShape) -> bool {
-        const CHUNK: usize = 16;
-        let n = self.w1.len();
-        let mut i = 0;
-        while i < n {
-            let end = (i + CHUNK).min(n);
-            let mut any = false;
-            for j in i..end {
-                any |= (l.w1 >= self.w1[j])
-                    & (l.w2 >= self.w2[j])
-                    & (l.h1 >= self.h1[j])
-                    & (l.h2 >= self.h2[j]);
-            }
-            if any {
-                return true;
-            }
-            i = end;
-        }
-        false
-    }
-}
-
-/// Full 4-D prune of an L-list that is already grouped by `w2` ascending
-/// and free of *same-w2* dominance (the exact state
-/// [`pareto_min_lshapes_within_w2_scratch`] leaves its output in).
-///
-/// Dominance requires `w1 ≥` and `w2 ≥`, so a redundant item's victims
-/// can only sit in **strictly smaller** `w2` groups (same-`w2` dominance
-/// was already removed). Sweeping the groups in ascending order with the
-/// kept front of completed groups therefore removes exactly the
-/// cross-`w2` redundancies — the same survivor set, in the same order,
-/// as [`pareto_min_lshapes_by`] on this input, with **zero** sorts and
-/// zero allocations (the front lives in the caller's arena).
-pub fn pareto_min_lshapes_grouped_scratch<T>(
-    items: &mut Vec<T>,
-    key: impl Fn(&T) -> LShape,
-    front: &mut LFront,
-) {
-    front.clear();
-    let mut write = 0usize;
-    let mut group_start = 0usize; // first kept index of the open group
-    let mut group_w2: Option<u64> = None;
-    for read in 0..items.len() {
-        let l = key(&items[read]);
-        if group_w2 != Some(l.w2) {
-            debug_assert!(group_w2.is_none_or(|w2| w2 < l.w2), "groups ascend");
-            // The finished group's survivors become front members: they
-            // were not eligible victims for their own group (no same-w2
-            // dominance) but are for every later one.
-            for kept in &items[group_start..write] {
-                front.push(key(kept));
-            }
-            group_w2 = Some(l.w2);
-            group_start = write;
-        }
-        if front.dominates_any(l) {
-            continue; // redundant: it dominates a smaller-w2 survivor
-        }
-        items.swap(write, read);
-        write += 1;
-    }
-    items.truncate(write);
 }
 
 /// [`pareto_min_lshapes_by`] for plain L-shapes.
@@ -304,74 +188,438 @@ pub fn pareto_min_lshapes_within_w2_scratch<T>(
     });
 }
 
-/// [`pareto_min_lshapes_within_w2_scratch`] with the final canonical
-/// sort replaced by an `O(n)` reversal: the dominance sweep leaves each
-/// `w2` group sorted by `w1` ascending with equal-`w1` runs `(h1, h2)`
-/// ascending, so reversing each group and then re-reversing its
-/// equal-`w1` runs is exactly the canonical `(w2, w1 desc, h1, h2)`
-/// order — no second comparison sort. Output is identical to the plain
-/// variant (which stays as the legacy-ablation baseline).
-pub fn pareto_min_lshapes_within_w2_canonical_scratch<T>(
-    items: &mut Vec<T>,
-    key: impl Fn(&T) -> LShape,
-    front: &mut Vec<(u64, u64)>,
-) {
-    // Unstable sort: deterministic, allocation-free, and faster at join
-    // granularity. Items tying on the full 4-D key are interchangeable
-    // for every later stage (the sweep keeps exactly one), so stability
-    // buys nothing here.
-    items.sort_unstable_by_key(|t| {
-        let l = key(t);
-        (l.w2, l.w1, l.h1, l.h2)
-    });
-    front.clear();
-    let mut current_w2: Option<u64> = None;
-    let mut write = 0usize;
-    for read in 0..items.len() {
-        let l = key(&items[read]);
-        if current_w2 != Some(l.w2) {
-            current_w2 = Some(l.w2);
-            front.clear();
-        }
-        let idx = front.partition_point(|&(h1, _)| h1 <= l.h1);
-        let dominated = idx > 0 && front[idx - 1].1 <= l.h2;
-        if dominated {
-            continue;
-        }
-        let start = front.partition_point(|&(h1, _)| h1 < l.h1);
-        let mut end = start;
-        while end < front.len() && front[end].1 >= l.h2 {
-            end += 1;
-        }
-        front.splice(start..end, [(l.h1, l.h2)]);
-        items.swap(write, read);
-        write += 1;
+/// Pass-1 survivor count above which [`prune_l_block`] answers its
+/// cross-`w2` pass with the `w1`-ranked Fenwick index instead of the flat
+/// front scan. Below it the scan's sequential compares beat the index's
+/// rank sort and per-node binary searches; see DESIGN.md §14 for the
+/// measurement behind the value.
+pub const L_PRUNE_INDEX_CROSSOVER: usize = 256;
+
+/// Reusable buffers for [`prune_l_block`]. A [`crate::JoinScratch`]
+/// carries one, so a warmed prune allocates nothing.
+#[derive(Debug, Default)]
+pub struct LPruneScratch {
+    /// `(w2, chain)` keys: the block's chains bucketed by `w2`.
+    buckets: Vec<(u64, u32)>,
+    /// Item indices of one multi-chain bucket, merged by `(w1, h1, h2)`.
+    merged: Vec<u32>,
+    /// Ping-pong partner of `merged`.
+    merge_tmp: Vec<u32>,
+    /// Run ends within `merged`, and their ping-pong partner.
+    runs: Vec<u32>,
+    runs_tmp: Vec<u32>,
+    /// Pass-1 staircase of minimal `(h1, h2)` pairs.
+    stair: Vec<(u64, u64)>,
+    /// Survivors (block indices) in canonical `(w2, w1 desc, h1, h2)` order.
+    kept: Vec<u32>,
+    /// Flat pass-2 front: `(w1, h1, h2)` of earlier-group survivors.
+    front: Front3,
+    /// Sorted distinct `w1` of the pass-1 survivors (Fenwick ranks).
+    ranks: Vec<u64>,
+    /// Fenwick nodes over the `w1` rank, each an `(h1, h2)` staircase.
+    fenwick: Vec<Vec<(u64, u64)>>,
+    /// Re-chaining arena.
+    chain: ChainScratch,
+    /// Survivors gathered in chain order before they are written back.
+    shapes: Vec<LShape>,
+    prov: Vec<(u32, u32)>,
+}
+
+impl LPruneScratch {
+    /// An empty arena; buffers grow to the working-set high-water mark.
+    #[must_use]
+    pub fn new() -> LPruneScratch {
+        LPruneScratch::default()
     }
-    items.truncate(write);
-    // Canonicalize per w2 group: reverse the group (w1 asc → desc), then
-    // restore ascending (h1, h2) inside each equal-w1 run. Runs are
-    // almost always singletons — dominance-freedom forces h1 strictly
-    // ascending / h2 strictly descending within one — so this is a
-    // near-pure group reversal.
-    let mut i = 0;
-    while i < items.len() {
-        let w2 = key(&items[i]).w2;
-        let mut j = i + 1;
-        while j < items.len() && key(&items[j]).w2 == w2 {
-            j += 1;
-        }
-        items[i..j].reverse();
-        let mut a = i;
-        while a < j {
-            let w1 = key(&items[a]).w1;
-            let mut b = a + 1;
-            while b < j && key(&items[b]).w1 == w1 {
-                b += 1;
+}
+
+/// Full 4-D prune of an L-block as the wheel joins generate it, in place:
+/// removes every implementation that dominates another (paper
+/// Definition 2), leaves the survivors in canonical `(w2, w1 desc, h1,
+/// h2)` order re-partitioned into irreducible chains, and returns how
+/// many were removed. When nothing is removed the block — chains
+/// included — is left untouched.
+///
+/// `chains` must be half-open spans covering `shapes` in order, each a
+/// paper Definition 3 chain: one `w2`, `w1` strictly falling, `h1` and
+/// `h2` never falling, consecutive members differing in a height. Every
+/// wheel generator guarantees this (it is the monotonicity behind Lemmas
+/// 2–3), and the kernel relies on it.
+///
+/// * **Pass 1** (same-`w2` dominance) buckets the chains by `w2`. A chain
+///   alone in its bucket is already irreducible and is copied; the chains
+///   of a larger bucket are merged by `(w1, h1, h2)` and swept against a
+///   staircase of minimal `(h1, h2)` pairs.
+/// * **Pass 2** (cross-`w2` dominance) runs only when at most
+///   `cross_limit` items survive pass 1. It sweeps the survivors in
+///   canonical order asking "does this item dominate a survivor with a
+///   smaller `w2`?", a 3-D query on `(w1, h1, h2)`. Dominance
+///   is transitive, so the index may hold every earlier survivor; and
+///   after pass 1 no two items with equal `w2` are comparable, so an item
+///   enters the index right after its own query. Blocks above
+///   [`L_PRUNE_INDEX_CROSSOVER`] survivors use a `w1`-ranked Fenwick tree
+///   of `(h1, h2)` staircases (a practical `O(n log² n)` form of
+///   Kung–Luccio–Preparata's maxima algorithm); smaller ones scan a flat
+///   front.
+///
+/// Exact duplicates (equal shapes, different provenance) keep the copy
+/// that comes first in generation order, i.e. the lowest block index.
+///
+/// The survivor shapes, their order, the chain spans and the removed
+/// count equal those of [`pareto_min_lshapes_within_w2_by`] followed (when
+/// within `cross_limit`) by [`pareto_min_lshapes_by`] and
+/// [`crate::chain_indices`].
+pub fn prune_l_block(
+    shapes: &mut Vec<LShape>,
+    prov: &mut Vec<(u32, u32)>,
+    chains: &mut Vec<(u32, u32)>,
+    cross_limit: usize,
+    scratch: &mut LPruneScratch,
+) -> usize {
+    debug_assert_eq!(shapes.len(), prov.len());
+    debug_assert!(
+        is_chain_block(shapes, chains),
+        "prune_l_block needs Definition 3 chains covering the block in order"
+    );
+    let before = shapes.len();
+    scratch.within_w2(shapes, chains);
+    if scratch.kept.len() <= cross_limit {
+        scratch.cross_w2(shapes);
+    }
+    let after = scratch.kept.len();
+    if after == before {
+        return 0;
+    }
+    scratch.rechain(shapes, prov, chains);
+    before - after
+}
+
+/// `true` if `chains` are Definition 3 chains covering `shapes` in order.
+fn is_chain_block(shapes: &[LShape], chains: &[(u32, u32)]) -> bool {
+    let mut next = 0u32;
+    let covered = chains.iter().all(|&(s, e)| {
+        let ok = s == next
+            && s < e
+            && e as usize <= shapes.len()
+            && shapes[s as usize..e as usize].windows(2).all(|w| {
+                w[0].w2 == w[1].w2
+                    && w[0].w1 > w[1].w1
+                    && w[0].h1 <= w[1].h1
+                    && w[0].h2 <= w[1].h2
+                    && (w[0].h1 < w[1].h1 || w[0].h2 < w[1].h2)
+            });
+        next = e;
+        ok
+    });
+    covered && next as usize == shapes.len()
+}
+
+impl LPruneScratch {
+    /// Pass 1: leaves the same-`w2` survivors in `kept`, canonical order.
+    fn within_w2(&mut self, shapes: &[LShape], chains: &[(u32, u32)]) {
+        self.kept.clear();
+        self.buckets.clear();
+        self.buckets.extend(
+            chains
+                .iter()
+                .enumerate()
+                .map(|(c, &(s, _))| (shapes[s as usize].w2, c as u32)),
+        );
+        // Keys are unique (chain index), so the unstable sort is
+        // deterministic and buckets list their chains in block order.
+        self.buckets.sort_unstable();
+        let mut b = 0;
+        while b < self.buckets.len() {
+            let w2 = self.buckets[b].0;
+            let mut e = b + 1;
+            while e < self.buckets.len() && self.buckets[e].0 == w2 {
+                e += 1;
             }
-            items[a..b].reverse();
-            a = b;
+            if e == b + 1 {
+                let (s, t) = chains[self.buckets[b].1 as usize];
+                self.kept.extend(s..t);
+            } else {
+                self.merge_bucket(shapes, chains, b, e);
+            }
+            b = e;
         }
-        i = j;
+    }
+
+    /// Pass 1 on one bucket of several chains (`buckets[b..e]`).
+    fn merge_bucket(&mut self, shapes: &[LShape], chains: &[(u32, u32)], b: usize, e: usize) {
+        // Each chain reversed is strictly ascending in (w1, h1, h2); a
+        // stable merge of the runs, laid out in block order, sorts the
+        // bucket with exact duplicates in generation order.
+        self.merged.clear();
+        self.runs.clear();
+        for &(_, c) in &self.buckets[b..e] {
+            let (s, t) = chains[c as usize];
+            self.merged.extend((s..t).rev());
+            self.runs.push(self.merged.len() as u32);
+        }
+        merge_runs(
+            &mut self.merged,
+            &mut self.merge_tmp,
+            &mut self.runs,
+            &mut self.runs_tmp,
+            |i| {
+                let l = shapes[i as usize];
+                (l.w1, l.h1, l.h2)
+            },
+        );
+        // Ascending sweep: an item is redundant iff an earlier one has
+        // h1' <= h1 and h2' <= h2 (w1' <= w1 holds by the order); the
+        // first of several exact duplicates is the one kept.
+        self.stair.clear();
+        let seg = self.kept.len();
+        for &i in &self.merged {
+            let l = shapes[i as usize];
+            if stair_covers(&self.stair, l.h1, l.h2) {
+                continue;
+            }
+            stair_insert(&mut self.stair, l.h1, l.h2);
+            self.kept.push(i);
+        }
+        // Canonical order: w1 descending, then (h1, h2) ascending within
+        // an equal-w1 run — reverse the bucket, then each such run.
+        let seg = &mut self.kept[seg..];
+        seg.reverse();
+        let mut a = 0;
+        while a < seg.len() {
+            let w1 = shapes[seg[a] as usize].w1;
+            let mut z = a + 1;
+            while z < seg.len() && shapes[seg[z] as usize].w1 == w1 {
+                z += 1;
+            }
+            seg[a..z].reverse();
+            a = z;
+        }
+    }
+
+    /// Pass 2: drops from `kept` every item that dominates a survivor
+    /// with a smaller `w2`.
+    fn cross_w2(&mut self, shapes: &[LShape]) {
+        let (Some(&first), Some(&last)) = (self.kept.first(), self.kept.last()) else {
+            return;
+        };
+        if shapes[first as usize].w2 == shapes[last as usize].w2 {
+            return; // one w2 group: pass 1 already finished the job
+        }
+        if self.kept.len() > L_PRUNE_INDEX_CROSSOVER {
+            self.cross_w2_indexed(shapes);
+        } else {
+            self.cross_w2_flat(shapes);
+        }
+    }
+
+    /// Pass 2 for small blocks: each item is checked against a flat front
+    /// of the survivors of the completed (smaller-`w2`) groups.
+    fn cross_w2_flat(&mut self, shapes: &[LShape]) {
+        self.front.clear();
+        let mut write = 0;
+        let mut group_start = 0;
+        let mut group_w2 = shapes[self.kept[0] as usize].w2;
+        for read in 0..self.kept.len() {
+            let i = self.kept[read];
+            let l = shapes[i as usize];
+            if l.w2 != group_w2 {
+                for &k in &self.kept[group_start..write] {
+                    self.front.push(shapes[k as usize]);
+                }
+                group_start = write;
+                group_w2 = l.w2;
+            }
+            if self.front.covers(l) {
+                continue;
+            }
+            self.kept[write] = i;
+            write += 1;
+        }
+        self.kept.truncate(write);
+    }
+
+    /// Pass 2 for large blocks: the same canonical-order sweep, with
+    /// prefix queries on a Fenwick tree over the `w1` rank whose nodes
+    /// hold `(h1, h2)` staircases. The prefix up to an item's rank holds
+    /// exactly the earlier survivors with `w1' <= w1`.
+    fn cross_w2_indexed(&mut self, shapes: &[LShape]) {
+        self.ranks.clear();
+        self.ranks
+            .extend(self.kept.iter().map(|&i| shapes[i as usize].w1));
+        self.ranks.sort_unstable();
+        self.ranks.dedup();
+        let m = self.ranks.len();
+        if self.fenwick.len() <= m {
+            self.fenwick.resize_with(m + 1, Vec::new);
+        }
+        for node in &mut self.fenwick[1..=m] {
+            node.clear();
+        }
+        let mut write = 0;
+        let mut group_w2 = None;
+        // 1-based Fenwick position of the current w1. Within a w2 group
+        // w1 only falls, so the position walks down from a binary search
+        // at the group's head.
+        let mut pos = 0;
+        for read in 0..self.kept.len() {
+            let i = self.kept[read];
+            let l = shapes[i as usize];
+            if group_w2 != Some(l.w2) {
+                group_w2 = Some(l.w2);
+                pos = self.ranks.partition_point(|&w| w <= l.w1);
+            } else {
+                while self.ranks[pos - 1] > l.w1 {
+                    pos -= 1;
+                }
+            }
+            let mut k = pos;
+            while k > 0 && !stair_covers(&self.fenwick[k], l.h1, l.h2) {
+                k &= k - 1;
+            }
+            if k > 0 {
+                continue;
+            }
+            // Insert along the update path. Each node's range contains
+            // the previous one's, so once a node already covers (h1, h2)
+            // every later node does too.
+            let mut k = pos;
+            while k <= m && !stair_covers(&self.fenwick[k], l.h1, l.h2) {
+                stair_insert(&mut self.fenwick[k], l.h1, l.h2);
+                k += k & k.wrapping_neg();
+            }
+            self.kept[write] = i;
+            write += 1;
+        }
+        self.kept.truncate(write);
+    }
+
+    /// Re-chains the survivors and writes them back into the block.
+    fn rechain(
+        &mut self,
+        shapes: &mut Vec<LShape>,
+        prov: &mut Vec<(u32, u32)>,
+        chains: &mut Vec<(u32, u32)>,
+    ) {
+        self.chain.partition(&self.kept, |&i| shapes[i as usize]);
+        self.shapes.clear();
+        self.prov.clear();
+        for &p in &self.chain.perm {
+            let i = self.kept[p as usize] as usize;
+            self.shapes.push(shapes[i]);
+            self.prov.push(prov[i]);
+        }
+        shapes.clear();
+        shapes.extend_from_slice(&self.shapes);
+        prov.clear();
+        prov.extend_from_slice(&self.prov);
+        chains.clear();
+        chains.extend_from_slice(&self.chain.spans);
+    }
+}
+
+/// Stable bottom-up merge of the sorted runs of `items` (`runs` holds
+/// their ends) by `key`, ping-ponging through `tmp`: equal keys keep the
+/// order of their runs.
+fn merge_runs<K: Ord>(
+    items: &mut Vec<u32>,
+    tmp: &mut Vec<u32>,
+    runs: &mut Vec<u32>,
+    runs_tmp: &mut Vec<u32>,
+    key: impl Fn(u32) -> K,
+) {
+    while runs.len() > 1 {
+        tmp.clear();
+        runs_tmp.clear();
+        let mut start = 0;
+        for pair in runs.chunks(2) {
+            let mid = pair[0] as usize;
+            let end = pair.get(1).map_or(mid, |&e| e as usize);
+            let (left, right) = (&items[start..mid], &items[mid..end]);
+            let (mut i, mut j) = (0, 0);
+            while i < left.len() && j < right.len() {
+                if key(right[j]) < key(left[i]) {
+                    tmp.push(right[j]);
+                    j += 1;
+                } else {
+                    tmp.push(left[i]);
+                    i += 1;
+                }
+            }
+            tmp.extend_from_slice(&left[i..]);
+            tmp.extend_from_slice(&right[j..]);
+            runs_tmp.push(end as u32);
+            start = end;
+        }
+        core::mem::swap(items, tmp);
+        core::mem::swap(runs, runs_tmp);
+    }
+}
+
+/// `true` if the `(h1 asc, h2 desc)` staircase holds a pair `<= (h1, h2)`.
+/// The best candidate is the last pair with `h1' <= h1`: it has the
+/// smallest `h2'` among those.
+fn stair_covers(stair: &[(u64, u64)], h1: u64, h2: u64) -> bool {
+    let idx = stair.partition_point(|&(a, _)| a <= h1);
+    idx > 0 && stair[idx - 1].1 <= h2
+}
+
+/// Inserts `(h1, h2)` into a staircase that does not cover it, dropping
+/// the pairs it covers (`h1' >= h1` and `h2' >= h2`): a contiguous run
+/// starting at the first `h1' >= h1`.
+fn stair_insert(stair: &mut Vec<(u64, u64)>, h1: u64, h2: u64) {
+    let start = stair.partition_point(|&(a, _)| a < h1);
+    let mut end = start;
+    while end < stair.len() && stair[end].1 >= h2 {
+        end += 1;
+    }
+    if end > start {
+        stair[start] = (h1, h2);
+        stair.drain(start + 1..end);
+    } else {
+        stair.insert(start, (h1, h2));
+    }
+}
+
+/// A flat dominance front of `(w1, h1, h2)` triples in parallel arrays,
+/// scanned with branch-light chunked compares.
+#[derive(Debug, Default)]
+struct Front3 {
+    w1: Vec<u64>,
+    h1: Vec<u64>,
+    h2: Vec<u64>,
+}
+
+impl Front3 {
+    fn clear(&mut self) {
+        self.w1.clear();
+        self.h1.clear();
+        self.h2.clear();
+    }
+
+    fn push(&mut self, l: LShape) {
+        self.w1.push(l.w1);
+        self.h1.push(l.h1);
+        self.h2.push(l.h2);
+    }
+
+    /// `true` if some member is `<= l` in `w1`, `h1` and `h2`.
+    fn covers(&self, l: LShape) -> bool {
+        const CHUNK: usize = 16;
+        let n = self.w1.len();
+        let (w1, h1, h2) = (&self.w1[..n], &self.h1[..n], &self.h2[..n]);
+        let mut i = 0;
+        while i < n {
+            let end = (i + CHUNK).min(n);
+            let mut any = false;
+            for j in i..end {
+                any |= (w1[j] <= l.w1) & (h1[j] <= l.h1) & (h2[j] <= l.h2);
+            }
+            if any {
+                return true;
+            }
+            i = end;
+        }
+        false
     }
 }
 

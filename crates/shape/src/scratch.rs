@@ -2,7 +2,7 @@
 //!
 //! Every slice/wheel join allocates the same handful of temporaries:
 //! rotated staircases for `Beside` merges, the lockstep candidate
-//! vector, and the within-`w2` dominance front. A [`JoinScratch`] owns
+//! vector, and the L-block prune's buffers. A [`JoinScratch`] owns
 //! one of each and is reused across joins, so a long bottom-up run
 //! allocates these buffers once per worker instead of once per join.
 //! The tree-level scheduler in `fp-optimizer` hands one arena to each
@@ -11,7 +11,7 @@
 //! Reuse never changes results — the buffers are cleared (not read) at
 //! the start of every operation that uses them.
 
-use fp_geom::{LShape, Rect};
+use fp_geom::Rect;
 
 use crate::combine::CombinedRect;
 
@@ -41,16 +41,9 @@ pub struct JoinScratch {
     /// Staircase front for the within-`w2` L-shape prune
     /// ([`crate::prune::pareto_min_lshapes_within_w2_scratch`]).
     pub front: Vec<(u64, u64)>,
-    /// Zipped `(shape, provenance)` pairs for the cross-chain L-block
-    /// prune in `fp-optimizer`, reused so wheel joins stop paying a
-    /// fresh `collect` allocation per block.
-    pub lprune: Vec<(LShape, (u32, u32))>,
-    /// Struct-of-arrays dominance front for the fused cross-`w2` prune
-    /// ([`crate::prune::pareto_min_lshapes_grouped_scratch`]).
-    pub lfront: crate::prune::LFront,
-    /// Flat chain-decomposition arena for re-chaining prune survivors
-    /// ([`crate::ChainScratch`]).
-    pub chain: crate::ChainScratch,
+    /// Buffers of the chain-structured L-block prune
+    /// ([`crate::prune::prune_l_block`]) every wheel join ends in.
+    pub lprune: crate::prune::LPruneScratch,
     /// CSPP arenas for the R/L selection kernels (`fp-select` threads
     /// these through `RReductionPolicy::apply_scratch` and
     /// `LReductionPolicy::apply_scratch`), so a warmed join worker runs

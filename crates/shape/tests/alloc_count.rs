@@ -1,26 +1,38 @@
-//! Allocation accounting for the scratch-arena combine path: once a
+//! Allocation accounting for the scratch-arena join paths: once a
 //! [`JoinScratch`] is warmed (its vectors have grown to the working-set
-//! size), repeated combines must not touch the global allocator at all.
-//! A counting `#[global_allocator]` makes that a hard assertion — but
-//! only in debug builds and off the test harness's own threads' noise:
-//! the counter is scoped to the measured section on one thread.
+//! size), repeated combines, selections and L-block prunes must not touch
+//! the global allocator at all. A counting `#[global_allocator]` makes
+//! that a hard assertion in debug builds. The armed flag is per thread,
+//! so allocations made by other test threads never land in a measured
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use fp_geom::Rect;
+use fp_geom::{LShape, Rect};
 use fp_shape::combine::{combine_with_provenance, combine_with_provenance_scratch, Compose};
+use fp_shape::prune::prune_l_block;
 use fp_shape::{JoinScratch, RList};
 
-/// Counts allocations while `ARMED` is set. Frees are always forwarded.
+/// Counts allocations made by a thread whose `ARMED` flag is set. Frees
+/// are always forwarded.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const`-initialized and without a destructor: reading it never
+    // allocates, so the allocator itself may consult it.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -31,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -52,11 +64,8 @@ fn rlist(seed: u64, n: u64) -> RList {
     RList::from_candidates(rects)
 }
 
-/// Measures allocations during `f` on this thread's critical section.
-/// Other test threads could inflate the count, so the harness must run
-/// this binary single-threaded per test (Rust's default is one thread
-/// per `#[test]`, and this file keeps the armed windows disjoint by
-/// taking a lock).
+/// Measures the allocations this thread makes during `f`. Windows are
+/// kept disjoint by a lock, since they share one counter.
 fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let guard = match WINDOW.lock() {
@@ -64,9 +73,9 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
         Err(poisoned) => poisoned.into_inner(),
     };
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|a| a.set(false));
     let count = ALLOCATIONS.load(Ordering::SeqCst);
     drop(guard);
     (count, out)
@@ -169,5 +178,70 @@ fn scratch_combine_matches_allocating_combine() {
             scratch_allocs < plain_allocs.max(1),
             "scratch path must allocate less than the allocating path"
         );
+    }
+}
+
+/// An L-block: shapes, provenance, chain spans.
+type LBlock = (Vec<LShape>, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+/// A chain-structured L-block the way the wheel stages build one: several
+/// chains share each `w2` (as in stage 3), every chain has `w1` strictly
+/// falling and both heights rising, and chains `c` and `c + 9` repeat
+/// each other's shapes, so the prune drops exact duplicates as well as
+/// dominated implementations.
+fn chain_block(chains_per_w2: u64, widths: u64) -> LBlock {
+    let (mut shapes, mut prov, mut chains) = (Vec::new(), Vec::new(), Vec::new());
+    for c in 0..chains_per_w2 {
+        let v = c % 9;
+        for w2 in (1..=widths).rev() {
+            let start = shapes.len() as u32;
+            for k in 0..6 {
+                let w1 = w2 + 60 - 6 * k - v % 5;
+                let h2 = 2 + 3 * k + (v * 5 + w2) % 7;
+                let h1 = h2 + 2 + (v * 3 + k) % 4;
+                shapes.push(LShape::new_canonical(w1, w2, h1, h2));
+                prov.push((c as u32, k as u32));
+            }
+            chains.push((start, shapes.len() as u32));
+        }
+    }
+    (shapes, prov, chains)
+}
+
+/// A warmed L-prune arena prunes a block — both passes, indexed and flat,
+/// plus the re-chaining — without allocating.
+#[test]
+fn warmed_l_block_prune_does_not_allocate() {
+    // 326 pass-1 survivors take the indexed pass 2, 35 the flat one.
+    let blocks = [chain_block(12, 20), chain_block(3, 4)];
+    let mut scratch = JoinScratch::new();
+    let (mut shapes, mut prov, mut chains) = (Vec::new(), Vec::new(), Vec::new());
+    let mut run = |scratch: &mut JoinScratch| {
+        let mut removed = 0;
+        for (s, p, c) in &blocks {
+            shapes.clear();
+            shapes.extend_from_slice(s);
+            prov.clear();
+            prov.extend_from_slice(p);
+            chains.clear();
+            chains.extend_from_slice(c);
+            removed += prune_l_block(
+                &mut shapes,
+                &mut prov,
+                &mut chains,
+                50_000,
+                &mut scratch.lprune,
+            );
+        }
+        removed
+    };
+    // Warm-up: grow every prune buffer (and the block copies) to size.
+    let warm = run(&mut scratch);
+    let (count, removed) = count_allocations(|| run(&mut scratch));
+    assert_eq!(removed, warm, "the prune is deterministic");
+    assert!(removed > 0, "the blocks hold redundant implementations");
+    println!("warmed-scratch allocations over 2 L-block prunes: {count}");
+    if cfg!(debug_assertions) {
+        assert_eq!(count, 0, "warmed L-prune arena must not allocate");
     }
 }

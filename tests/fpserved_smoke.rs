@@ -508,11 +508,21 @@ fn tcp_warm_restart_shows_recovered_entries_in_metrics() {
     stream
         .write_all(b"{\"id\": 2, \"method\": \"stats\"}\n{\"method\": \"shutdown\"}\n")
         .expect("tail written");
+    // Replies may arrive out of request order and are matched by id (the
+    // README's contract): the inline `stats` reply and the id-less
+    // shutdown ack can overtake the executor-run `optimize`. Read until
+    // both ids are in.
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut responses = Vec::new();
-    for _ in 0..2 {
+    let mut responses: Vec<String> = Vec::new();
+    let has_id =
+        |lines: &[String], id: &str| lines.iter().any(|l| l.contains(&format!("\"id\":{id},")));
+    while !(has_id(&responses, "1") && has_id(&responses, "2")) {
         let mut line = String::new();
-        reader.read_line(&mut line).expect("response line");
+        let read = reader.read_line(&mut line).expect("response line");
+        assert!(
+            read > 0,
+            "connection closed before ids 1 and 2: {responses:?}"
+        );
         responses.push(line.trim().to_owned());
     }
     assert_eq!(status_of(&line_with_id(&responses, "1")), 0);
