@@ -553,7 +553,9 @@ impl Tracer {
 
     /// A subscribed tracer whose per-worker ring buffers hold at most
     /// `capacity` events each; beyond that, newest events are dropped
-    /// and counted ([`Trace::dropped`]).
+    /// and counted ([`Trace::dropped`]). Phase spans
+    /// ([`TraceEvent::Phase`]) are exempt: a run emits at most one per
+    /// [`PhaseName`], and the profile needs every one.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Tracer::build(true, capacity.max(1))
@@ -606,7 +608,9 @@ impl Tracer {
             self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if buf.events.len() >= self.shared.capacity {
+        // Phase spans bypass the capacity check (see `with_capacity`).
+        let is_phase = matches!(event, TraceEvent::Phase { .. });
+        if buf.events.len() >= self.shared.capacity && !is_phase {
             buf.dropped += 1;
             self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -887,6 +891,21 @@ mod tests {
         let trace = tracer.drain();
         assert_eq!(trace.events.len(), 2);
         assert_eq!(trace.dropped, 3);
+    }
+
+    #[test]
+    fn full_buffer_keeps_phase_spans() {
+        let tracer = Tracer::with_capacity(1);
+        tracer.emit(0, TraceEvent::CacheMiss { node: 0 });
+        tracer.emit(0, TraceEvent::CacheMiss { node: 1 });
+        for name in [PhaseName::Enumerate, PhaseName::Run] {
+            tracer.emit(0, TraceEvent::Phase { name, dur_ns: 7 });
+        }
+        let trace = tracer.drain();
+        assert_eq!(trace.events.len(), 3);
+        assert_eq!(trace.dropped, 1);
+        let profile = trace.profile();
+        assert_eq!((profile.run_ns, profile.enumerate_ns), (7, 7));
     }
 
     #[test]

@@ -87,6 +87,40 @@ fn profile_reconciles_with_run_stats() {
     }
 }
 
+/// Phase spans survive a ring that overflows: with 16 slots per worker
+/// the join events of an FP2 run are dropped, but the profile still
+/// reconciles with `RunStats`.
+#[test]
+fn profile_reconciles_when_the_ring_overflows() {
+    for threads in [1usize, 2] {
+        let bench = generators::fp2();
+        let lib = generators::module_library(&bench.tree, 4, 3);
+        let tracer = Tracer::with_capacity(16);
+        let outcome = Optimizer::new(&bench.tree, &lib)
+            .config(
+                &OptimizeConfig::default()
+                    .with_r_selection(8)
+                    .with_threads(threads)
+                    .with_split_threshold(0),
+            )
+            .tracer(&tracer)
+            .run_best()
+            .expect("solves");
+        let trace = tracer.drain();
+        assert!(trace.dropped > 0, "16 slots must overflow on FP2");
+        let profile = trace.profile();
+
+        let elapsed_ns = u64::try_from(outcome.stats.elapsed.as_nanos()).unwrap();
+        let selection_ns = u64::try_from(outcome.stats.selection_time.as_nanos()).unwrap();
+        assert_eq!(profile.run_ns, elapsed_ns, "run span is RunStats::elapsed");
+        assert_eq!(
+            profile.selection_ns, selection_ns,
+            "selection span is RunStats::selection_time"
+        );
+        assert!(profile.enumerate_ns > 0, "the enumerate span is kept");
+    }
+}
+
 /// Summary counters must agree with the engine's `RunStats` where the
 /// two overlap: joins, cache traffic, and the run span.
 #[test]
