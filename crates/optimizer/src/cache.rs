@@ -46,8 +46,8 @@ use fp_select::Metric;
 
 use crate::engine::{DegradationEvent, OptimizeConfig, RescueReason};
 
-/// The shape payload of a cached block, mirroring the engine's internal
-/// per-node storage: either a rectangular implementation list or an
+/// The shape payload of a cached block, mirroring one block of the
+/// engine's run storage: either a rectangular implementation list or an
 /// L-shaped list with its irreducible chain segmentation, each entry
 /// carrying the provenance pair that traces it to child implementations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,9 +212,10 @@ const REASON_FAULT_TAG: u8 = 1;
 /// record payloads; see `fp_memo::persist`). Everything is
 /// little-endian and length-prefixed; `decode` is the trust boundary
 /// for bytes read back from disk — structural invariants (provenance
-/// arity, canonical L-shapes, chain bounds) are revalidated here, and
-/// the engine's reconstitution path re-checks the staircase invariant
-/// on top.
+/// arity, canonical L-shapes, L-blocks made of paper Definition 3 chains
+/// that cover the block in order) are revalidated here, and the engine's
+/// reconstitution path re-checks the staircase and chain invariants on
+/// top, for caches that never went through the codec.
 impl Codec for CachedBlock {
     fn encode(&self, out: &mut Vec<u8>) {
         match &self.shapes {
@@ -294,11 +295,10 @@ impl Codec for CachedBlock {
                 }
                 let prov = decode_pairs(&mut r)?;
                 let chains = decode_pairs(&mut r)?;
-                if prov.len() != shapes.len() {
-                    return None;
-                }
-                let n = shapes.len() as u32;
-                if chains.iter().any(|&(s, e)| s > e || e > n) {
+                // The wheel kernels and the L-block prune rely on the
+                // chain structure, so a record without it recomputes.
+                if prov.len() != shapes.len() || !fp_shape::prune::is_chain_block(&shapes, &chains)
+                {
                     return None;
                 }
                 CachedShapes::L {
@@ -688,7 +688,7 @@ mod tests {
                     LShape::new(7, 7, 9, 9).expect("degenerate rect"),
                 ],
                 prov: vec![(0, 1), (2, 3)],
-                chains: vec![(0, 2)],
+                chains: vec![(0, 1), (1, 2)],
             },
             degradations: vec![
                 DegradationEvent {
@@ -770,6 +770,45 @@ mod tests {
         bad_l.extend_from_slice(&0u32.to_le_bytes()); // chains len 0
         bad_l.extend_from_slice(&0u32.to_le_bytes()); // degradations len 0
         assert!(CachedBlock::decode(&bad_l).is_none());
+    }
+
+    /// Encodes an L-block with the given chains and no degradations.
+    fn l_record(shapes: Vec<LShape>, chains: Vec<(u32, u32)>) -> Vec<u8> {
+        let prov = (0..shapes.len() as u32).map(|i| (i, i)).collect();
+        let mut bytes = Vec::new();
+        CachedBlock {
+            shapes: CachedShapes::L {
+                shapes,
+                prov,
+                chains,
+            },
+            degradations: Vec::new(),
+        }
+        .encode(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn codec_rejects_l_blocks_that_are_not_definition_3_chains() {
+        let l = |w1, w2, h1, h2| LShape::new(w1, w2, h1, h2).expect("canonical");
+        let chain = vec![l(9, 3, 2, 1), l(7, 3, 4, 2), l(5, 3, 5, 4)];
+        assert!(CachedBlock::decode(&l_record(chain.clone(), vec![(0, 3)])).is_some());
+        // In bounds, but w1 rises inside the chain.
+        let rising = vec![l(7, 3, 2, 1), l(9, 3, 4, 2), l(5, 3, 5, 4)];
+        assert!(CachedBlock::decode(&l_record(rising, vec![(0, 3)])).is_none());
+        // A gap between the chains, an uncovered tail, overlapping and
+        // empty spans.
+        for chains in [
+            vec![(0, 1), (2, 3)],
+            vec![(0, 2)],
+            vec![(0, 2), (1, 3)],
+            vec![(0, 0), (0, 3)],
+        ] {
+            assert!(
+                CachedBlock::decode(&l_record(chain.clone(), chains.clone())).is_none(),
+                "{chains:?}"
+            );
+        }
     }
 
     #[test]

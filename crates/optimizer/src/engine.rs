@@ -13,9 +13,10 @@ use fp_tree::{FloorplanTree, ModuleLibrary, TreeError};
 
 use fp_trace::{PhaseName, SolverKind, TraceEvent, Tracer};
 
-use crate::cache::{policy_fingerprint, BlockCache, CachedBlock, CachedShapes};
+use crate::cache::{policy_fingerprint, BlockCache};
 use crate::governor::{CancelToken, FaultPlan, Governor, ResourceGovernor, Trip};
 use crate::joins;
+use crate::store::{Block, Columns, Kind, Staged, Store, View};
 
 /// The engine-internal tracing handle: an optional [`Tracer`] plus the
 /// emitting worker's id, threaded by value through the hot path. With
@@ -679,62 +680,6 @@ pub struct Outcome {
     pub stats: RunStats,
 }
 
-/// Borrowed view of an L-block: shapes, provenance, chain segments.
-type LView<'a> = (&'a [LShape], &'a [(u32, u32)], &'a [(u32, u32)]);
-
-/// Borrowed view of a rectangular block: list and provenance.
-type RectView<'a> = (&'a RList, &'a [(u32, u32)]);
-
-/// Per-node shape storage. `prov` maps each stored implementation to the
-/// indices of the child implementations that produced it (empty at
-/// leaves, where the index itself is the module's implementation choice).
-pub(crate) enum Shapes {
-    Rect {
-        list: RList,
-        prov: Vec<(u32, u32)>,
-    },
-    L {
-        shapes: Vec<LShape>,
-        prov: Vec<(u32, u32)>,
-        /// Contiguous `(start, end)` chain segments; each is an
-        /// irreducible L-list.
-        chains: Vec<(u32, u32)>,
-    },
-}
-
-impl Shapes {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Shapes::Rect { list, .. } => list.len(),
-            Shapes::L { shapes, .. } => shapes.len(),
-        }
-    }
-
-    fn as_rect(&self) -> Result<RectView<'_>, Trip> {
-        match self {
-            Shapes::Rect { list, prov } => Ok((list, prov)),
-            Shapes::L { .. } => Err(Trip::Internal("expected a rectangular block")),
-        }
-    }
-
-    fn as_l(&self) -> Result<LView<'_>, Trip> {
-        match self {
-            Shapes::L {
-                shapes,
-                prov,
-                chains,
-            } => Ok((shapes, prov, chains)),
-            Shapes::Rect { .. } => Err(Trip::Internal("expected an L-shaped block")),
-        }
-    }
-}
-
-/// Fallback for [`Frontier::envelopes`] should the root block ever not be
-/// rectangular — `optimize_frontier` verifies that invariant before
-/// constructing a [`Frontier`], so this is unreachable in practice but
-/// keeps the accessor panic-free.
-static EMPTY_RLIST: RList = RList::new();
-
 /// The full solution frontier of an optimization run: every non-redundant
 /// implementation of the whole floorplan, each traceable to a realizable
 /// per-module assignment.
@@ -768,7 +713,9 @@ static EMPTY_RLIST: RList = RList::new();
 /// ```
 pub struct Frontier {
     bin: BinaryTree,
-    store: Vec<Shapes>,
+    store: Store,
+    /// The root block's list, the one every query reads.
+    envelopes: RList,
     stats: RunStats,
     /// Maps tree leaf ids to assignment slots.
     slot_of: Vec<usize>,
@@ -776,35 +723,45 @@ pub struct Frontier {
 }
 
 impl Frontier {
-    /// Assembles a frontier from the scheduler's parts (same crate only;
-    /// the public constructors are [`optimize_frontier`] and friends).
+    /// Assembles a frontier from a finished run's parts (same crate only;
+    /// the public constructors are [`Optimizer::run_frontier`] and
+    /// friends).
+    ///
+    /// # Errors
+    ///
+    /// [`OptError::Internal`] unless the root block is a rectangular
+    /// staircase.
     pub(crate) fn from_parts(
         bin: BinaryTree,
-        store: Vec<Shapes>,
+        store: Store,
         stats: RunStats,
-        slot_of: Vec<usize>,
-        leaves: usize,
-    ) -> Self {
-        Frontier {
+        (slot_of, leaves): (Vec<usize>, usize),
+    ) -> Result<Self, OptError> {
+        let root = match store.view(bin.root()) {
+            Some(View::Rect { rects, .. }) => RList::from_sorted(rects.to_vec()).ok(),
+            _ => None,
+        };
+        let Some(envelopes) = root else {
+            return Err(OptError::Internal {
+                what: "root block is not rectangular",
+                block: bin.root(),
+            });
+        };
+        Ok(Frontier {
             bin,
             store,
+            envelopes,
             stats,
             slot_of,
             leaves,
-        }
+        })
     }
 
     /// The non-redundant envelope implementations of the whole floorplan
     /// (width descending).
     #[must_use]
     pub fn envelopes(&self) -> &RList {
-        match self.store.get(self.bin.root()) {
-            Some(Shapes::Rect { list, .. }) => list,
-            _ => {
-                debug_assert!(false, "frontier root is always rectangular");
-                &EMPTY_RLIST
-            }
-        }
+        &self.envelopes
     }
 
     /// Run statistics of the enumeration that built this frontier.
@@ -1057,7 +1014,7 @@ pub(crate) fn serial_frontier(
         .with_cancel(config.cancel.clone())
         .with_faults(config.fault_plan.clone());
     let mut stats = RunStats::default();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = Scratch::default();
     // The policies actually in force; the rescue ladder tightens these.
     let mut eff = EffectivePolicies {
         r: config.r_policy,
@@ -1085,7 +1042,8 @@ pub(crate) fn serial_frontier(
     } else {
         None
     };
-    let mut store: Vec<Shapes> = Vec::with_capacity(bin.len());
+    let mut cols = Columns::new(0);
+    let mut blocks: Vec<Block> = Vec::with_capacity(bin.len());
     for (index, node) in bin.nodes().iter().enumerate() {
         // Input validation happens once, outside the retry loop: these
         // errors are not resource trips and are never rescued.
@@ -1099,7 +1057,7 @@ pub(crate) fn serial_frontier(
         }
 
         let node_fp = fps.as_ref().and_then(|f| f.get(index)).copied();
-        let shapes = loop {
+        let block = loop {
             let result = gov.poll().and_then(|()| {
                 // Per-block cache hook: a hit replaces the whole
                 // build/prune/select pipeline with a reconstitution of
@@ -1115,7 +1073,7 @@ pub(crate) fn serial_frontier(
                                 len: hit.len() as u32,
                             });
                             stats.degradations.extend(hit.degradations.iter().cloned());
-                            return cached_to_shapes(hit.shapes);
+                            return cols.push_cached(hit.shapes);
                         }
                         stats.cache_misses += 1;
                         tc.emit(TraceEvent::CacheMiss { node: index as u32 });
@@ -1124,23 +1082,21 @@ pub(crate) fn serial_frontier(
                 match node {
                     BinNode::Leaf { module, .. } => {
                         // Validated above; re-fetch to keep the borrow local.
-                        let list = library.get(*module).map(|m| m.implementations().clone());
-                        match list {
-                            Some(list) => {
-                                gov.charge(list.len())?;
-                                Ok(Shapes::Rect {
-                                    list,
-                                    prov: Vec::new(),
-                                })
-                            }
-                            None => Err(Trip::Internal("leaf module vanished mid-run")),
-                        }
+                        let list = library
+                            .get(*module)
+                            .ok_or(Trip::Internal("leaf module vanished mid-run"))?
+                            .implementations();
+                        gov.charge(list.len())?;
+                        cols.push_leaf(list.as_slice())
                     }
                     BinNode::Join { op, left, right } => {
-                        let shapes = build_join(
+                        let (Some(l), Some(r)) = (blocks.get(*left), blocks.get(*right)) else {
+                            return Err(Trip::Internal("join operand not built"));
+                        };
+                        build_join(
                             *op,
-                            &store[*left],
-                            &store[*right],
+                            cols.view(l),
+                            cols.view(r),
                             config,
                             &eff,
                             &mut gov,
@@ -1149,9 +1105,10 @@ pub(crate) fn serial_frontier(
                             index as u32,
                             tc,
                         )?;
+                        let block = cols.commit(&scratch.out)?;
                         if caching {
                             if let (Some(cache), Some(fp)) = (cache, node_fp) {
-                                cache.store(fp, shapes_to_cached(&shapes));
+                                cache.store(fp, cols.view(&block).to_cached());
                                 if let Some(last) = last_evictions.as_mut() {
                                     let now = cache.stats().map_or(*last, |s| s.evictions);
                                     if now > *last {
@@ -1161,12 +1118,12 @@ pub(crate) fn serial_frontier(
                                 }
                             }
                         }
-                        Ok(shapes)
+                        Ok(block)
                     }
                 }
             });
             match result {
-                Ok(shapes) => break shapes,
+                Ok(block) => break block,
                 Err(trip) => {
                     caching = false;
                     let live_at_trip = gov.live();
@@ -1187,15 +1144,16 @@ pub(crate) fn serial_frontier(
                     // policies fire), so shrink the *inputs*: re-select
                     // every frontier block (this join's operands and all
                     // committed blocks awaiting a future join) under the
-                    // tightened policies. Subsetting list+prov in place
+                    // tightened policies. Shrinking list+prov in place
                     // keeps the grandchild provenance indices valid.
                     let live_before = gov.live();
-                    for (b, shapes) in store.iter_mut().enumerate() {
+                    for (b, block) in blocks.iter_mut().enumerate() {
                         if parent.get(b).is_none_or(|&p| p < index) {
                             continue; // consumed: its parent's prov needs it
                         }
                         reselect_committed(
-                            shapes,
+                            &mut cols,
+                            block,
                             &eff,
                             &mut gov,
                             &mut stats,
@@ -1245,27 +1203,16 @@ pub(crate) fn serial_frontier(
             }
         };
 
-        match &shapes {
-            Shapes::Rect { list, .. } => {
+        match block.kind {
+            Kind::Rect => {
                 if !matches!(node, BinNode::Leaf { .. }) {
-                    stats.max_r_block = stats.max_r_block.max(list.len());
+                    stats.max_r_block = stats.max_r_block.max(block.len());
                 }
             }
-            Shapes::L { shapes: l, .. } => {
-                stats.max_l_block = stats.max_l_block.max(l.len());
-            }
+            Kind::L => stats.max_l_block = stats.max_l_block.max(block.len()),
         }
-        gov.commit(shapes.len());
-        store.push(shapes);
-    }
-
-    // The restructured root is always a rectangular block; verify rather
-    // than assume so `Frontier::envelopes` stays panic-free.
-    if !matches!(store.get(bin.root()), Some(Shapes::Rect { .. })) {
-        return Err(OptError::Internal {
-            what: "root block is not rectangular",
-            block: bin.root(),
-        });
+        gov.commit(block.len());
+        blocks.push(block);
     }
 
     stats.peak_impls = gov.peak();
@@ -1279,66 +1226,27 @@ pub(crate) fn serial_frontier(
     tc.phase(PhaseName::Selection, stats.selection_time);
     tc.phase(PhaseName::Run, stats.elapsed);
 
-    // Map tree leaf node ids to assignment slots once, for all trace-backs.
+    // `from_parts` verifies that the root block is rectangular, so
+    // `Frontier::envelopes` stays panic-free.
+    let store = Store {
+        segs: vec![cols],
+        blocks,
+    };
+    Frontier::from_parts(bin, store, stats, leaf_slots(tree))
+}
+
+/// Maps tree leaf node ids to assignment slots (their positions in
+/// [`FloorplanTree::leaves_in_order`]) once, for all trace-backs; returns
+/// the map and the slot count.
+pub(crate) fn leaf_slots(tree: &FloorplanTree) -> (Vec<usize>, usize) {
     let leaves = tree.leaves_in_order();
     let mut slot_of = vec![usize::MAX; tree.len()];
     for (slot, &leaf) in leaves.iter().enumerate() {
-        slot_of[leaf] = slot;
-    }
-
-    Ok(Frontier {
-        bin,
-        store,
-        stats,
-        slot_of,
-        leaves: leaves.len(),
-    })
-}
-
-/// Snapshot of a committed block for the cross-run cache (clones the
-/// lists: the cache must not alias the run's own store, which the rescue
-/// ladder may later re-select in place).
-pub(crate) fn shapes_to_cached(shapes: &Shapes) -> CachedBlock {
-    let shapes = match shapes {
-        Shapes::Rect { list, prov } => CachedShapes::Rect {
-            rects: list.as_slice().to_vec(),
-            prov: prov.clone(),
-        },
-        Shapes::L {
-            shapes,
-            prov,
-            chains,
-        } => CachedShapes::L {
-            shapes: shapes.clone(),
-            prov: prov.clone(),
-            chains: chains.clone(),
-        },
-    };
-    CachedBlock {
-        shapes,
-        degradations: Vec::new(),
-    }
-}
-
-/// Reconstitutes a cached block into per-node storage, revalidating the
-/// staircase invariant the rest of the engine relies on.
-pub(crate) fn cached_to_shapes(shapes: CachedShapes) -> Result<Shapes, Trip> {
-    match shapes {
-        CachedShapes::Rect { rects, prov } => {
-            let list = RList::from_sorted(rects)
-                .map_err(|_| Trip::Internal("cached rectangular block is not a staircase"))?;
-            Ok(Shapes::Rect { list, prov })
+        if let Some(s) = slot_of.get_mut(leaf) {
+            *s = slot;
         }
-        CachedShapes::L {
-            shapes,
-            prov,
-            chains,
-        } => Ok(Shapes::L {
-            shapes,
-            prov,
-            chains,
-        }),
     }
+    (slot_of, leaves.len())
 }
 
 /// The selection policies currently in force — starts as the configured
@@ -1446,70 +1354,94 @@ pub(crate) fn trip_error(trip: Trip, block: usize, live: usize, peak: usize) -> 
     }
 }
 
-/// Builds one join block under the governor: dispatch to the join kind,
-/// then global pruning and the effective selection policies. Generic
-/// over [`Governor`] so the serial loop and the scheduler's per-worker
-/// governors share one copy of the join machinery; `scratch` is the
-/// caller's reusable join arena (one per worker).
+/// A worker's reusable join arena: the shape kernels' buffers plus the
+/// staged block a join builds before its survivors are committed. The
+/// serial pass owns one; the scheduler gives one to each worker.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub(crate) join: JoinScratch,
+    pub(crate) out: Staged,
+}
+
+/// Builds one join block under the governor into `scratch.out`: dispatch
+/// to the join kind, then global pruning and the effective selection
+/// policies. The caller commits the staged result to its columns.
+/// Generic over [`Governor`] so the serial loop and the scheduler's
+/// per-worker governors share one copy of the join machinery; `scratch`
+/// is the caller's reusable join arena (one per worker).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_join<G: Governor>(
     op: BinOp,
-    left: &Shapes,
-    right: &Shapes,
+    left: View<'_>,
+    right: View<'_>,
     config: &OptimizeConfig,
     eff: &EffectivePolicies,
     gov: &mut G,
     stats: &mut RunStats,
-    scratch: &mut JoinScratch,
+    scratch: &mut Scratch,
     node: u32,
     tc: TraceCtx<'_>,
-) -> Result<Shapes, Trip> {
+) -> Result<(), Trip> {
     tc.emit(TraceEvent::JoinStart {
         node,
         left_len: left.len() as u32,
         right_len: right.len() as u32,
     });
     let started = tc.on().then(Instant::now);
-    let mut shapes = match op {
-        BinOp::Slice(how) => slice_join(left, right, how, gov, scratch)?,
-        BinOp::WheelS1 => wheel_s1(left, right, gov)?,
-        BinOp::WheelS2 => wheel_s23(left, right, joins::stage2, gov)?,
-        BinOp::WheelS3 => wheel_s3(left, right, gov)?,
-        BinOp::WheelS4 => wheel_s4(left, right, gov)?,
-    };
-    global_l_prune(&mut shapes, config, gov, scratch);
-    let dropped = select_shapes(&mut shapes, eff, stats, scratch, node, tc)?;
+    let Scratch { join, out } = scratch;
+    match op {
+        BinOp::Slice(how) => slice_join(left, right, how, gov, join, out)?,
+        BinOp::WheelS1 => wheel_s1(left, right, out, gov)?,
+        BinOp::WheelS2 => wheel_s23(left, right, joins::stage2, out, gov)?,
+        BinOp::WheelS3 => wheel_s3(left, right, out, gov)?,
+        BinOp::WheelS4 => wheel_s4(left, right, out, gov)?,
+    }
+    global_l_prune(out, config, gov, join);
+    let dropped = select_staged(out, eff, stats, join, node, tc)?;
     gov.discard(dropped);
     if let Some(started) = started {
         tc.emit(TraceEvent::JoinDone {
             node,
-            out_len: shapes.len() as u32,
+            out_len: out.len() as u32,
             dur_ns: ns(started.elapsed()),
         });
     }
-    Ok(shapes)
+    Ok(())
+}
+
+/// Checks that a staged R-list is an irreducible staircase (the check
+/// [`RList::from_sorted`] makes) without giving up its buffer.
+fn check_staircase(rects: &mut Vec<Rect>, what: &'static str) -> Result<(), Trip> {
+    match RList::from_sorted(std::mem::take(rects)) {
+        Ok(list) => {
+            *rects = list.into_vec();
+            Ok(())
+        }
+        Err(back) => {
+            *rects = back;
+            Err(Trip::Internal(what))
+        }
+    }
 }
 
 /// Slicing combination of two rectangular blocks (Stockmeyer merge).
 fn slice_join<G: Governor>(
-    left: &Shapes,
-    right: &Shapes,
+    left: View<'_>,
+    right: View<'_>,
     how: Compose,
     meter: &mut G,
     scratch: &mut JoinScratch,
-) -> Result<Shapes, Trip> {
-    let (a, _) = left.as_rect()?;
-    let (b, _) = right.as_rect()?;
+    out: &mut Staged,
+) -> Result<(), Trip> {
+    let a = left.as_rect()?;
+    let b = right.as_rect()?;
     let combined = combine_with_provenance_scratch(a, b, how, scratch);
     meter.charge(combined.len())?;
-    let rects: Vec<Rect> = combined.iter().map(|c| c.rect).collect();
-    let prov: Vec<(u32, u32)> = combined
-        .iter()
-        .map(|c| (c.left as u32, c.right as u32))
-        .collect();
-    let list = RList::from_sorted(rects)
-        .map_err(|_| Trip::Internal("Stockmeyer merge output is not a staircase"))?;
-    Ok(Shapes::Rect { list, prov })
+    out.begin(Kind::Rect);
+    out.rects.extend(combined.iter().map(|c| c.rect));
+    out.prov
+        .extend(combined.iter().map(|c| (c.left as u32, c.right as u32)));
+    check_staircase(&mut out.rects, "Stockmeyer merge output is not a staircase")
 }
 
 /// Incremental within-chain dominance pruning for L-shape chains whose
@@ -1570,133 +1502,117 @@ fn push_rect_chain<G: Governor>(
     Ok(())
 }
 
+/// Closes the chain that started at `start`, if it kept anything.
+fn close_chain(out: &mut Staged, start: usize) {
+    if out.shapes.len() > start {
+        out.chains.push((start as u32, out.shapes.len() as u32));
+    }
+}
+
 /// Wheel stage 1: `A × E → L`. One chain per `A` implementation.
-fn wheel_s1<G: Governor>(left: &Shapes, right: &Shapes, meter: &mut G) -> Result<Shapes, Trip> {
-    let (a_list, _) = left.as_rect()?;
-    let (e_list, _) = right.as_rect()?;
-    // Capacity hints are part of the new allocation discipline; the
-    // legacy ablation keeps the pre-SoA from-zero growth.
-    let hint = if fp_shape::legacy::legacy_kernels() {
-        0
-    } else {
-        a_list.len() + e_list.len()
-    };
-    let mut shapes = Vec::with_capacity(hint);
-    let mut prov = Vec::with_capacity(hint);
-    let mut chains = Vec::with_capacity(hint.min(a_list.len()));
+fn wheel_s1<G: Governor>(
+    left: View<'_>,
+    right: View<'_>,
+    out: &mut Staged,
+    meter: &mut G,
+) -> Result<(), Trip> {
+    let a_list = left.as_rect()?;
+    let e_list = right.as_rect()?;
+    out.begin(Kind::L);
     for (ai, &a) in a_list.iter().enumerate() {
-        let start = shapes.len();
+        let start = out.shapes.len();
         for (ei, &e) in e_list.iter().enumerate() {
             push_l_chain(
-                &mut shapes,
-                &mut prov,
+                &mut out.shapes,
+                &mut out.prov,
                 start,
                 joins::stage1(a, e),
                 (ai as u32, ei as u32),
                 meter,
             )?;
         }
-        if shapes.len() > start {
-            chains.push((start as u32, shapes.len() as u32));
-        }
+        close_chain(out, start);
     }
-    Ok(Shapes::L {
-        shapes,
-        prov,
-        chains,
-    })
+    Ok(())
 }
 
 /// Wheel stage 2 (and the shared machinery): for each stored L
 /// implementation, a chain over the attached arm's R-list.
 fn wheel_s23<G: Governor>(
-    left: &Shapes,
-    right: &Shapes,
+    left: View<'_>,
+    right: View<'_>,
     stage: fn(LShape, Rect) -> LShape,
+    out: &mut Staged,
     meter: &mut G,
-) -> Result<Shapes, Trip> {
-    let (l_shapes, _, _) = left.as_l()?;
-    let (r_list, _) = right.as_rect()?;
-    let hint = if fp_shape::legacy::legacy_kernels() {
-        0
-    } else {
-        l_shapes.len() + r_list.len()
-    };
-    let mut shapes = Vec::with_capacity(hint);
-    let mut prov = Vec::with_capacity(hint);
-    let mut chains = Vec::with_capacity(hint.min(l_shapes.len()));
+) -> Result<(), Trip> {
+    let (l_shapes, _) = left.as_l()?;
+    let r_list = right.as_rect()?;
+    out.begin(Kind::L);
     for (li, &l) in l_shapes.iter().enumerate() {
-        let start = shapes.len();
+        let start = out.shapes.len();
         for (ri, &r) in r_list.iter().enumerate() {
             push_l_chain(
-                &mut shapes,
-                &mut prov,
+                &mut out.shapes,
+                &mut out.prov,
                 start,
                 stage(l, r),
                 (li as u32, ri as u32),
                 meter,
             )?;
         }
-        if shapes.len() > start {
-            chains.push((start as u32, shapes.len() as u32));
-        }
+        close_chain(out, start);
     }
-    Ok(Shapes::L {
-        shapes,
-        prov,
-        chains,
-    })
+    Ok(())
 }
 
 /// Wheel stage 3: chains run over the *parent chain* for each fixed `C`
 /// implementation (that orientation keeps `w2 = w_C` constant and the
 /// monotonicity the chain prune needs).
-fn wheel_s3<G: Governor>(left: &Shapes, right: &Shapes, meter: &mut G) -> Result<Shapes, Trip> {
-    let (l_shapes, _, l_chains) = left.as_l()?;
-    let (c_list, _) = right.as_rect()?;
-    let hint = if fp_shape::legacy::legacy_kernels() {
-        0
-    } else {
-        l_shapes.len() + c_list.len()
-    };
-    let mut shapes = Vec::with_capacity(hint);
-    let mut prov = Vec::with_capacity(hint);
-    let mut chains = Vec::with_capacity(hint.min(l_chains.len() * c_list.len()));
+fn wheel_s3<G: Governor>(
+    left: View<'_>,
+    right: View<'_>,
+    out: &mut Staged,
+    meter: &mut G,
+) -> Result<(), Trip> {
+    let (l_shapes, l_chains) = left.as_l()?;
+    let c_list = right.as_rect()?;
+    out.begin(Kind::L);
     for &(cs, ce) in l_chains {
         for (ci, &c) in c_list.iter().enumerate() {
-            let start = shapes.len();
+            let start = out.shapes.len();
             for li in cs..ce {
                 let cand = joins::stage3(l_shapes[li as usize], c);
-                push_l_chain(&mut shapes, &mut prov, start, cand, (li, ci as u32), meter)?;
+                push_l_chain(
+                    &mut out.shapes,
+                    &mut out.prov,
+                    start,
+                    cand,
+                    (li, ci as u32),
+                    meter,
+                )?;
             }
-            if shapes.len() > start {
-                chains.push((start as u32, shapes.len() as u32));
-            }
+            close_chain(out, start);
         }
     }
-    Ok(Shapes::L {
-        shapes,
-        prov,
-        chains,
-    })
+    Ok(())
 }
 
 /// Wheel stage 4: `L × D → R`, with per-chain pruning then a global
 /// staircase prune.
-fn wheel_s4<G: Governor>(left: &Shapes, right: &Shapes, meter: &mut G) -> Result<Shapes, Trip> {
-    let (l_shapes, _, _) = left.as_l()?;
-    let (d_list, _) = right.as_rect()?;
-    let hint = if fp_shape::legacy::legacy_kernels() {
-        0
-    } else {
-        l_shapes.len() + d_list.len()
-    };
-    let mut out: Vec<(Rect, (u32, u32))> = Vec::with_capacity(hint);
+fn wheel_s4<G: Governor>(
+    left: View<'_>,
+    right: View<'_>,
+    out: &mut Staged,
+    meter: &mut G,
+) -> Result<(), Trip> {
+    let (l_shapes, _) = left.as_l()?;
+    let d_list = right.as_rect()?;
+    out.begin(Kind::Rect);
     for (li, &l) in l_shapes.iter().enumerate() {
-        let start = out.len();
+        let start = out.pairs.len();
         for (di, &d) in d_list.iter().enumerate() {
             push_rect_chain(
-                &mut out,
+                &mut out.pairs,
                 start,
                 joins::stage4(l, d),
                 (li as u32, di as u32),
@@ -1704,14 +1620,12 @@ fn wheel_s4<G: Governor>(left: &Shapes, right: &Shapes, meter: &mut G) -> Result
             )?;
         }
     }
-    let before = out.len();
-    fp_shape::prune::pareto_min_rects_in_place(&mut out, |&(r, _)| r);
-    meter.discard(before - out.len());
-    let rects: Vec<Rect> = out.iter().map(|&(r, _)| r).collect();
-    let prov: Vec<(u32, u32)> = out.iter().map(|&(_, p)| p).collect();
-    let list = RList::from_sorted(rects)
-        .map_err(|_| Trip::Internal("pruned stage-4 output is not a staircase"))?;
-    Ok(Shapes::Rect { list, prov })
+    let before = out.pairs.len();
+    fp_shape::prune::pareto_min_rects_in_place(&mut out.pairs, |&(r, _)| r);
+    meter.discard(before - out.pairs.len());
+    out.rects.extend(out.pairs.iter().map(|&(r, _)| r));
+    out.prov.extend(out.pairs.iter().map(|&(_, p)| p));
+    check_staircase(&mut out.rects, "pruned stage-4 output is not a staircase")
 }
 
 /// Cross-chain dominance pruning of an L-block: the per-chain discipline
@@ -1722,27 +1636,28 @@ fn wheel_s4<G: Governor>(left: &Shapes, right: &Shapes, meter: &mut G) -> Result
 /// pass is skipped above the configured threshold
 /// ([`fp_shape::prune::prune_l_block`] documents both passes).
 fn global_l_prune<G: Governor>(
-    shapes: &mut Shapes,
+    out: &mut Staged,
     config: &OptimizeConfig,
     meter: &mut G,
     scratch: &mut JoinScratch,
 ) {
-    let Shapes::L {
-        shapes: l_shapes,
-        prov,
-        chains,
-    } = shapes
-    else {
+    if out.kind != Kind::L {
         return;
-    };
+    }
     let Some(cross_limit) = config.global_l_prune else {
         return;
     };
+    let Staged {
+        shapes,
+        prov,
+        chains,
+        ..
+    } = out;
     if fp_shape::legacy::legacy_kernels() {
-        return global_l_prune_legacy(l_shapes, prov, chains, config, meter, &mut scratch.front);
+        return global_l_prune_legacy(shapes, prov, chains, config, meter, &mut scratch.front);
     }
     let removed =
-        fp_shape::prune::prune_l_block(l_shapes, prov, chains, cross_limit, &mut scratch.lprune);
+        fp_shape::prune::prune_l_block(shapes, prov, chains, cross_limit, &mut scratch.lprune);
     meter.discard(removed);
 }
 
@@ -1792,62 +1707,66 @@ fn global_l_prune_legacy<G: Governor>(
     *chains = new_chains;
 }
 
-/// Applies the effective selection policies to a block in place,
+/// Keeps the items at the strictly increasing `positions`, in place.
+fn compact<T: Copy>(items: &mut Vec<T>, positions: &[usize]) {
+    for (k, &i) in positions.iter().enumerate() {
+        items[k] = items[i];
+    }
+    items.truncate(positions.len());
+}
+
+/// Applies the effective selection policies to a staged block in place,
 /// returning how many implementations were dropped (for the caller to
 /// account against the governor as `discard` or `release`).
-fn select_shapes(
-    shapes: &mut Shapes,
+fn select_staged(
+    out: &mut Staged,
     eff: &EffectivePolicies,
     stats: &mut RunStats,
     scratch: &mut JoinScratch,
     node: u32,
     tc: TraceCtx<'_>,
 ) -> Result<usize, Trip> {
-    match shapes {
-        Shapes::Rect { list, prov } => {
+    match out.kind {
+        Kind::Rect => {
             let Some(policy) = &eff.r else {
                 return Ok(0);
             };
-            let n = list.len();
+            let n = out.rects.len();
+            // The policy reads an `RList`: lend it the staged buffer.
+            let list = RList::from_sorted(std::mem::take(&mut out.rects))
+                .map_err(|_| Trip::Internal("staged rectangular block is not a staircase"))?;
             let before = scratch.cspp.int.counters();
             let started = Instant::now();
-            let sel = policy.apply_scratch(list, &mut scratch.cspp.int);
+            let sel = policy.apply_scratch(&list, &mut scratch.cspp.int);
             let spent = started.elapsed();
             stats.selection_time += spent;
             let delta = scratch.cspp.int.counters().since(before);
+            out.rects = list.into_vec();
             let Some(sel) = sel else {
                 return Ok(0);
             };
             emit_selection(tc, node, delta, policy.limit(), n, spent);
-            let dropped = list.len() - sel.positions.len();
-            let new_list = list.subset(&sel.positions);
-            let new_prov = if prov.is_empty() {
-                Vec::new()
-            } else {
-                sel.positions.iter().map(|&i| prov[i]).collect()
-            };
-            *list = new_list;
-            *prov = new_prov;
+            let dropped = n - sel.positions.len();
+            compact(&mut out.rects, &sel.positions);
+            if !out.prov.is_empty() {
+                compact(&mut out.prov, &sel.positions);
+            }
             stats.r_reductions += 1;
             Ok(dropped)
         }
-        Shapes::L {
-            shapes: l_shapes,
-            prov,
-            chains,
-        } => {
+        Kind::L => {
             let Some(policy) = &eff.l else {
                 return Ok(0);
             };
             // View the chains as an LListSet for the policy layer.
-            let mut lists = Vec::with_capacity(chains.len());
-            for &(s, e) in chains.iter() {
-                let list = LList::from_sorted(l_shapes[s as usize..e as usize].to_vec())
+            let mut lists = Vec::with_capacity(out.chains.len());
+            for &(s, e) in &out.chains {
+                let list = LList::from_sorted(out.shapes[s as usize..e as usize].to_vec())
                     .map_err(|_| Trip::Internal("engine chain is not an irreducible L-list"))?;
                 lists.push(list);
             }
             let set = LListSet::from_lists(lists);
-            let n = l_shapes.len();
+            let n = out.shapes.len();
             let before = scratch.cspp.counters();
             let started = Instant::now();
             let kept = policy.apply_scratch(&set, &mut scratch.cspp);
@@ -1858,26 +1777,30 @@ fn select_shapes(
                 return Ok(0);
             };
             emit_selection(tc, node, delta, policy.k2(), n, spent);
-            let mut new_shapes = Vec::new();
-            let mut new_prov = Vec::new();
-            let mut new_chains = Vec::new();
-            for (&(s, _), positions) in chains.iter().zip(&kept) {
-                let start = new_shapes.len();
+            // Compact the survivors forward in place: every chain's
+            // survivors land at or before its old start.
+            let (mut write, mut chains) = (0, 0);
+            for (c, positions) in kept.iter().enumerate() {
+                let Some(&(s, _)) = out.chains.get(c) else {
+                    break;
+                };
+                let start = write;
                 for &p in positions {
                     let global = s as usize + p;
-                    new_shapes.push(l_shapes[global]);
-                    new_prov.push(prov[global]);
+                    out.shapes[write] = out.shapes[global];
+                    out.prov[write] = out.prov[global];
+                    write += 1;
                 }
-                if new_shapes.len() > start {
-                    new_chains.push((start as u32, new_shapes.len() as u32));
+                if write > start {
+                    out.chains[chains] = (start as u32, write as u32);
+                    chains += 1;
                 }
             }
-            let dropped = l_shapes.len() - new_shapes.len();
-            *l_shapes = new_shapes;
-            *prov = new_prov;
-            *chains = new_chains;
+            out.shapes.truncate(write);
+            out.prov.truncate(write);
+            out.chains.truncate(chains);
             stats.l_reductions += 1;
-            Ok(dropped)
+            Ok(n - write)
         }
     }
 }
@@ -1926,27 +1849,33 @@ fn emit_selection(
 }
 
 /// Rescue-ladder shrink of an already *committed* block: re-applies the
-/// tightened policies to its list and releases the dropped storage.
+/// tightened policies to its list, shrinks its spans in place, and
+/// releases the dropped storage.
 ///
 /// Leaf blocks are built with empty provenance (their implementation
 /// index *is* the module choice), so before subsetting one we seed the
 /// identity provenance — trace-back then maps the surviving indices back
 /// to original module choices through it.
+#[allow(clippy::too_many_arguments)]
 fn reselect_committed(
-    shapes: &mut Shapes,
+    cols: &mut Columns,
+    block: &mut Block,
     eff: &EffectivePolicies,
     gov: &mut ResourceGovernor,
     stats: &mut RunStats,
-    scratch: &mut JoinScratch,
+    scratch: &mut Scratch,
     node: u32,
     tc: TraceCtx<'_>,
 ) -> Result<(), Trip> {
-    if let Shapes::Rect { list, prov } = shapes {
-        if prov.is_empty() && !list.is_empty() {
-            *prov = (0..list.len() as u32).map(|i| (i, 0)).collect();
-        }
+    let Scratch { join, out } = scratch;
+    out.load(cols.view(block));
+    if out.kind == Kind::Rect && out.prov.is_empty() {
+        out.prov.extend((0..out.rects.len() as u32).map(|i| (i, 0)));
     }
-    let dropped = select_shapes(shapes, eff, stats, scratch, node, tc)?;
+    let dropped = select_staged(out, eff, stats, join, node, tc)?;
+    if dropped > 0 {
+        cols.overwrite(block, out)?;
+    }
     gov.release(dropped);
     Ok(())
 }
@@ -1954,7 +1883,7 @@ fn reselect_committed(
 /// Traces the chosen root implementation back to per-module choices.
 fn trace_back_with(
     bin: &BinaryTree,
-    store: &[Shapes],
+    store: &Store,
     root_idx: usize,
     slot_of: &[usize],
     leaves: usize,
@@ -1971,10 +1900,8 @@ fn trace_back_with(
                 // A leaf re-selected by the rescue ladder carries identity
                 // provenance mapping surviving indices to module choices;
                 // an untouched leaf's index is the choice itself.
-                let choice = match store.get(node) {
-                    Some(Shapes::Rect { prov, .. }) if !prov.is_empty() => {
-                        prov.get(idx).map_or(idx, |p| p.0 as usize)
-                    }
+                let choice = match store.prov(node) {
+                    Some(prov) if !prov.is_empty() => prov.get(idx).map_or(idx, |p| p.0 as usize),
                     _ => idx,
                 };
                 if let Some(slot) = slot_of.get(*tree_leaf).copied() {
@@ -1984,12 +1911,9 @@ fn trace_back_with(
                 }
             }
             BinNode::Join { left, right, .. } => {
-                let prov = match store.get(node) {
-                    Some(Shapes::Rect { prov, .. }) | Some(Shapes::L { prov, .. }) => prov,
-                    None => {
-                        debug_assert!(false, "trace-back reached an unbuilt block");
-                        continue;
-                    }
+                let Some(prov) = store.prov(node) else {
+                    debug_assert!(false, "trace-back reached an unbuilt block");
+                    continue;
                 };
                 let Some(&(li, ri)) = prov.get(idx) else {
                     debug_assert!(false, "provenance index out of range");
@@ -2301,6 +2225,62 @@ mod tests {
         );
     }
 
+    /// A foreign cache whose L-blocks break paper Definition 3: every
+    /// chain of two or more members comes back with its first two
+    /// swapped, so `w1` rises inside it.
+    struct ScrambledChains(crate::cache::SharedBlockCache);
+
+    impl BlockCache for ScrambledChains {
+        fn lookup(&self, key: fp_memo::Fingerprint) -> Option<crate::cache::CachedBlock> {
+            let mut block = self.0.lookup(key)?;
+            if let crate::cache::CachedShapes::L { shapes, chains, .. } = &mut block.shapes {
+                for &(s, e) in chains.iter() {
+                    if e - s >= 2 {
+                        shapes.swap(s as usize, s as usize + 1);
+                    }
+                }
+            }
+            Some(block)
+        }
+
+        fn store(&self, key: fp_memo::Fingerprint, value: crate::cache::CachedBlock) {
+            self.0.store(key, value);
+        }
+    }
+
+    /// A reconstituted L-block is checked for the chain structure the
+    /// wheel kernels and the L-block prune rely on: a foreign cache that
+    /// serves broken chains gets a typed internal error on the serial and
+    /// the parallel path alike, never a panic or a wrong answer.
+    #[test]
+    fn foreign_cache_with_broken_chains_is_an_internal_error() {
+        let bench = generators::fp1();
+        let lib = generators::module_library(&bench.tree, 4, 2);
+        let warm = crate::cache::SharedBlockCache::new(1 << 24);
+        let serial = OptimizeConfig::default().with_threads(1);
+        Optimizer::new(&bench.tree, &lib)
+            .config(&serial)
+            .cache(&warm)
+            .run_best()
+            .expect("cold run fills the cache");
+        let scrambled = ScrambledChains(warm);
+        let parallel = OptimizeConfig::default()
+            .with_threads(2)
+            .with_split_threshold(0);
+        for config in [serial, parallel] {
+            match Optimizer::new(&bench.tree, &lib)
+                .config(&config)
+                .cache(&scrambled)
+                .run_best()
+            {
+                Err(OptError::Internal { what, .. }) => {
+                    assert!(what.contains("Definition 3"), "{what}");
+                }
+                other => panic!("expected an internal error, got {other:?}"),
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// On random floorplans the optimizer's reported area always equals
@@ -2344,21 +2324,30 @@ mod l_prune_tests {
     /// An L-block: shapes, provenance, chain spans.
     type Block = (Vec<LShape>, Vec<(u32, u32)>, Vec<(u32, u32)>);
 
-    fn into_block(shapes: Shapes) -> Block {
-        match shapes {
-            Shapes::L {
-                shapes,
-                prov,
-                chains,
-            } => (shapes, prov, chains),
-            Shapes::Rect { .. } => panic!("expected an L-block"),
-        }
+    /// Takes the staged L-block out of `out`.
+    fn into_block(out: &mut Staged) -> Block {
+        assert_eq!(out.kind, Kind::L, "expected an L-block");
+        (
+            std::mem::take(&mut out.shapes),
+            std::mem::take(&mut out.prov),
+            std::mem::take(&mut out.chains),
+        )
     }
 
-    fn rect_block(rects: Vec<Rect>) -> Shapes {
-        let list = RList::from_candidates(rects);
-        let prov = vec![(0, 0); list.len()];
-        Shapes::Rect { list, prov }
+    fn rect_block(rects: Vec<Rect>) -> Vec<Rect> {
+        RList::from_candidates(rects).into_vec()
+    }
+
+    fn rect_view(rects: &[Rect]) -> View<'_> {
+        View::Rect { rects, prov: &[] }
+    }
+
+    fn l_view(block: &Block) -> View<'_> {
+        View::L {
+            shapes: &block.0,
+            prov: &block.1,
+            chains: &block.2,
+        }
     }
 
     /// Prunes `block` with [`global_l_prune`] and asserts:
@@ -2374,14 +2363,11 @@ mod l_prune_tests {
     fn check(block: &Block, limit: usize) -> Block {
         let config = OptimizeConfig::default().with_global_l_prune(Some(limit));
         let mut gov = ResourceGovernor::new(None);
-        let (shapes, prov, chains) = block.clone();
-        let mut current = Shapes::L {
-            shapes,
-            prov,
-            chains,
-        };
+        let mut current = Staged::default();
+        current.begin(Kind::L);
+        (current.shapes, current.prov, current.chains) = block.clone();
         global_l_prune(&mut current, &config, &mut gov, &mut JoinScratch::new());
-        let current = into_block(current);
+        let current = into_block(&mut current);
 
         let zipped: Vec<(LShape, (u32, u32))> = block
             .0
@@ -2474,16 +2460,17 @@ mod l_prune_tests {
                     .collect()
             };
             let mut gov = ResourceGovernor::new(None);
-            let s1 = wheel_s1(&rect_block(rects(0)), &rect_block(rects(1)), &mut gov)
-                .expect("stage 1");
-            let (shapes, prov, chains) = check(&into_block(s1), limit);
-            let parent = Shapes::L { shapes, prov, chains };
-            let s2 = wheel_s23(&parent, &rect_block(rects(2)), joins::stage2, &mut gov)
+            let mut out = Staged::default();
+            let (r0, r1) = (rect_block(rects(0)), rect_block(rects(1)));
+            wheel_s1(rect_view(&r0), rect_view(&r1), &mut out, &mut gov).expect("stage 1");
+            let parent = check(&into_block(&mut out), limit);
+            let r2 = rect_block(rects(2));
+            wheel_s23(l_view(&parent), rect_view(&r2), joins::stage2, &mut out, &mut gov)
                 .expect("stage 2");
-            let (shapes, prov, chains) = check(&into_block(s2), limit);
-            let parent = Shapes::L { shapes, prov, chains };
-            let s3 = wheel_s3(&parent, &rect_block(rects(3)), &mut gov).expect("stage 3");
-            check(&into_block(s3), limit);
+            let parent = check(&into_block(&mut out), limit);
+            let r3 = rect_block(rects(3));
+            wheel_s3(l_view(&parent), rect_view(&r3), &mut out, &mut gov).expect("stage 3");
+            check(&into_block(&mut out), limit);
         }
 
         /// Random chain blocks: up to 150 chains over eight `w2` values, a

@@ -54,6 +54,7 @@ pub mod oracle;
 mod sched;
 pub mod serve;
 pub mod stockmeyer;
+mod store;
 
 pub use cache::{
     policy_fingerprint, shared_cache, shared_cache_stats, BlockCache, CachedBlock, CachedShapes,

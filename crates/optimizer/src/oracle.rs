@@ -99,6 +99,7 @@ mod tests {
     ) -> Result<crate::Outcome, crate::OptError> {
         Optimizer::new(tree, library).config(config).run_best()
     }
+    use crate::{Objective, SharedBlockCache};
     use fp_geom::Rect;
     use fp_tree::{generators, Chirality, Module};
     use proptest::prelude::*;
@@ -141,6 +142,63 @@ mod tests {
             let engine = optimize(&bench.tree, &lib, &OptimizeConfig::default())
                 .expect("solves");
             prop_assert_eq!(engine.area, oracle_area);
+        }
+    }
+
+    proptest! {
+        /// Differential member: every random slicing/wheel floorplan runs
+        /// serially, at 2 threads with per-node tasks (every join reads
+        /// blocks other workers built), and against a warmed block cache
+        /// (every join block is reconstituted from a hit). All three
+        /// frontiers and every traced-back assignment agree, each
+        /// assignment realizes to its envelope, and the best area is the
+        /// brute-force optimum. Runs on the default config, so
+        /// `PROPTEST_CASES` sets its size.
+        #[test]
+        fn serial_parallel_and_cached_runs_agree_with_the_oracle(
+            tree_seed in 0u64..100_000,
+            lib_seed in 0u64..100_000,
+            leaves in 2usize..9,
+        ) {
+            let bench = generators::random_floorplan(leaves, 0.7, tree_seed);
+            let lib = generators::module_library(&bench.tree, 3, lib_seed);
+            let serial_cfg = OptimizeConfig::default().with_threads(1);
+            let parallel_cfg = OptimizeConfig::default()
+                .with_threads(2)
+                .with_split_threshold(0);
+            let frontier = |config: &OptimizeConfig, cache: Option<&SharedBlockCache>| {
+                let run = Optimizer::new(&bench.tree, &lib).config(config);
+                match cache {
+                    Some(cache) => run.cache(cache).run_frontier(),
+                    None => run.run_frontier(),
+                }
+                .expect("solves")
+            };
+            let serial = frontier(&serial_cfg, None);
+            let parallel = frontier(&parallel_cfg, None);
+            let cache = SharedBlockCache::new(1 << 24);
+            let cold = frontier(&serial_cfg, Some(&cache));
+            let cached = frontier(&parallel_cfg, Some(&cache));
+            prop_assert_eq!(cached.stats().cache_misses, 0);
+            prop_assert_eq!(cached.stats().cache_hits, cold.stats().cache_misses);
+
+            let envelopes = serial.envelopes();
+            for other in [&parallel, &cached] {
+                prop_assert_eq!(other.envelopes(), envelopes);
+            }
+            for i in 0..envelopes.len() {
+                let assignment = serial.outcome(i).assignment;
+                for other in [&parallel, &cached] {
+                    prop_assert_eq!(&other.outcome(i).assignment, &assignment);
+                }
+                let layout = realize(&bench.tree, &lib, &assignment).expect("realizes");
+                prop_assert_eq!(layout.envelope, envelopes[i]);
+                prop_assert_eq!(layout.validate(), None);
+            }
+            let (oracle_area, _) = exhaustive_optimal(&bench.tree, &lib, 1 << 22)
+                .expect("solvable");
+            let best = serial.best(Objective::MinArea, None).expect("feasible");
+            prop_assert_eq!(best.area, oracle_area);
         }
     }
 }

@@ -54,17 +54,17 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use fp_memo::Fingerprint;
-use fp_shape::JoinScratch;
 use fp_trace::{PhaseName, TraceEvent, Tracer};
 use fp_tree::restructure::{BinNode, BinaryTree};
 use fp_tree::{FloorplanTree, ModuleLibrary};
 
 use crate::cache::{policy_fingerprint, BlockCache};
 use crate::engine::{
-    build_join, cached_to_shapes, shapes_to_cached, trip_error, EffectivePolicies, Frontier,
-    OptError, OptimizeConfig, RunStats, Shapes, TraceCtx,
+    build_join, leaf_slots, trip_error, DegradationEvent, EffectivePolicies, Frontier, OptError,
+    OptimizeConfig, RunStats, Scratch, TraceCtx,
 };
 use crate::governor::{CancelToken, FaultPlan, Governor, Trip, POLL_INTERVAL};
+use crate::store::{Block, Columns, Kind, Store, View};
 
 /// Below this node count the scheduling overhead cannot pay off; the
 /// dispatcher falls through to the serial path (results are identical
@@ -236,21 +236,16 @@ impl Governor for WorkerGov<'_> {
 
 /// Per-node accounting recorded by the worker that built it — the raw
 /// material for the serial-schedule replay.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct NodeAcc {
     /// Candidates charged while building (or reconstituting) the node.
     generated: u64,
     /// Maximum in-block live count during the build.
     transient_peak: usize,
-    /// Implementations committed (the block's final list length).
-    final_len: usize,
     /// Whether the block-cache was consulted for this node.
     looked_up: bool,
     /// Whether the pre-run cache lookup hit.
     initial_hit: bool,
-    /// Degradations replayed from the cache hit (engine-stored blocks
-    /// always carry none; kept exact for foreign caches).
-    hit_degradations: Vec<crate::engine::DegradationEvent>,
     /// Whether `R_Selection` fired while building this node.
     r_reductions: usize,
     /// Whether the L-block reduction fired while building this node.
@@ -262,10 +257,20 @@ struct NodeAcc {
     store_after_replay: bool,
 }
 
-/// A completed node: its committed list plus the replay accounting.
-struct BuiltNode {
-    shapes: Shapes,
-    acc: NodeAcc,
+/// What a worker publishes when a task completes: the lists of the
+/// nodes it built, in a segment of columns of its own, with their block
+/// records and replay accounting in tree order. A published task is
+/// never written again, so workers read each other's results without
+/// locks.
+struct TaskOut {
+    /// The task's first node (its node range is `lo..lo + blocks.len()`).
+    lo: usize,
+    cols: Columns,
+    blocks: Vec<Block>,
+    accs: Vec<NodeAcc>,
+    /// Degradations carried by the task's cache hits, by node (blocks
+    /// the engine stores carry none; kept exact for foreign caches).
+    hit_degradations: Vec<(usize, Vec<DegradationEvent>)>,
 }
 
 /// The work-stealing queues: one deque per worker plus a shared
@@ -366,7 +371,10 @@ struct WorkerCtx<'a> {
     size: &'a [usize],
     /// The split threshold: tasks covering fewer nodes run inline.
     cap: usize,
-    results: &'a [OnceLock<BuiltNode>],
+    /// Each task root's index into `tasks` (`u32::MAX` elsewhere).
+    task_of: &'a [u32],
+    /// One slot per task, in tree order, set when the task completes.
+    tasks: &'a [OnceLock<TaskOut>],
     remaining: &'a AtomicUsize,
     queues: &'a WorkQueues,
     shared: &'a SharedGov,
@@ -443,23 +451,31 @@ pub(crate) fn try_parallel(
         }
     }
     let deps: Vec<AtomicUsize> = dep_counts.into_iter().map(AtomicUsize::new).collect();
-    let results: Vec<OnceLock<BuiltNode>> = (0..n).map(|_| OnceLock::new()).collect();
     let queues = WorkQueues::new(threads);
-    // Seed the initially ready tasks — the maximal inline subtrees —
-    // round-robin so every worker starts with local work. (With per-node
-    // scheduling these are exactly the leaves.)
+    // Number the tasks in tree order — split joins and the roots of
+    // maximal inline subtrees, whose node ranges tile `0..n` — and seed
+    // the initially ready ones, the inline subtrees, round-robin so every
+    // worker starts with local work. (With per-node scheduling these are
+    // exactly the leaves.)
+    let mut task_of = vec![u32::MAX; n];
+    let mut task_count = 0u32;
     let mut next_worker = 0usize;
     for i in 0..n {
-        let ready = size[i] < cap
+        let inline_root = size[i] < cap
             && match parent.get(i).copied() {
                 Some(p) if p != usize::MAX => size[p] >= cap,
                 _ => true,
             };
-        if ready {
+        if inline_root || size[i] >= cap {
+            task_of[i] = task_count;
+            task_count += 1;
+        }
+        if inline_root {
             queues.push_local(next_worker % threads, i);
             next_worker += 1;
         }
     }
+    let tasks: Vec<OnceLock<TaskOut>> = (0..task_count).map(|_| OnceLock::new()).collect();
     let remaining = AtomicUsize::new(n);
     let shared = SharedGov {
         limit: config.memory_limit,
@@ -480,17 +496,19 @@ pub(crate) fn try_parallel(
     };
 
     let enumerate_started = Instant::now();
+    let slots;
     {
         let bin = &bin;
         let parent: &[usize] = &parent;
         let deps: &[AtomicUsize] = &deps;
         let size: &[usize] = &size;
-        let results: &[OnceLock<BuiltNode>] = &results;
+        let task_of: &[u32] = &task_of;
+        let tasks: &[OnceLock<TaskOut>] = &tasks;
         let remaining = &remaining;
         let queues = &queues;
         let shared = &shared;
         let eff = &eff;
-        std::thread::scope(|scope| {
+        slots = std::thread::scope(|scope| {
             for w in 0..threads {
                 let ctx = WorkerCtx {
                     bin,
@@ -503,7 +521,8 @@ pub(crate) fn try_parallel(
                     deps,
                     size,
                     cap,
-                    results,
+                    task_of,
+                    tasks,
                     remaining,
                     queues,
                     shared,
@@ -519,6 +538,9 @@ pub(crate) fn try_parallel(
                     break;
                 }
             }
+            // The main thread only waits for the workers: meanwhile it
+            // maps leaves to assignment slots for the frontier.
+            leaf_slots(tree)
         });
     }
 
@@ -549,17 +571,16 @@ pub(crate) fn try_parallel(
         return Ok(None);
     }
 
-    let mut store: Vec<Shapes> = Vec::with_capacity(n);
-    let mut accs: Vec<NodeAcc> = Vec::with_capacity(n);
-    for cell in results {
+    let mut outs: Vec<TaskOut> = Vec::with_capacity(tasks.len());
+    for cell in tasks {
         match cell.into_inner() {
-            Some(built) => {
-                store.push(built.shapes);
-                accs.push(built.acc);
+            // Published tasks tile the tree in order; anything else is a
+            // scheduling bug, and the serial path still produces the
+            // correct result.
+            Some(out) if out.lo == outs.last().map_or(0, |o| o.lo + o.blocks.len()) => {
+                outs.push(out);
             }
-            // A hole without a recorded trip is a scheduling bug; the
-            // serial path still produces the correct result.
-            None => {
+            _ => {
                 tc.emit(TraceEvent::ReplayDiscard {
                     reason: "worker_hole",
                 });
@@ -569,8 +590,7 @@ pub(crate) fn try_parallel(
     }
 
     let replay_started = Instant::now();
-    let Some(mut stats) =
-        replay_serial_schedule(&bin, &store, &mut accs, config, fps, cache.is_some())
+    let Some(mut stats) = replay_serial_schedule(&bin, &mut outs, config, fps, cache.is_some())
     else {
         // The serial schedule would have tripped: discard everything
         // (including buffered cache stores) and let the serial path
@@ -582,21 +602,16 @@ pub(crate) fn try_parallel(
     };
     let replay_spent = replay_started.elapsed();
 
-    if !matches!(store.get(bin.root()), Some(Shapes::Rect { .. })) {
-        return Err(OptError::Internal {
-            what: "root block is not rectangular",
-            block: bin.root(),
-        });
-    }
-
     // Clean run: flush the buffered cache stores in tree order — the
     // same insertion order the serial pass would have produced.
     let flush_started = Instant::now();
     if let (Some(cache), Some(fps)) = (cache, fps) {
-        for (i, acc) in accs.iter().enumerate() {
-            if acc.store_after_replay {
-                if let (Some(&fp), Some(shapes)) = (fps.get(i), store.get(i)) {
-                    cache.store(fp, shapes_to_cached(shapes));
+        for out in &outs {
+            for (i, (acc, block)) in (out.lo..).zip(out.accs.iter().zip(&out.blocks)) {
+                if acc.store_after_replay {
+                    if let Some(&fp) = fps.get(i) {
+                        cache.store(fp, out.cols.view(block).to_cached());
+                    }
                 }
             }
         }
@@ -612,26 +627,25 @@ pub(crate) fn try_parallel(
     tc.phase(PhaseName::CacheFlush, flush_spent);
     tc.phase(PhaseName::Selection, stats.selection_time);
     tc.phase(PhaseName::Run, stats.elapsed);
-    let leaves = tree.leaves_in_order();
-    let mut slot_of = vec![usize::MAX; tree.len()];
-    for (slot, &leaf) in leaves.iter().enumerate() {
-        if let Some(s) = slot_of.get_mut(leaf) {
-            *s = slot;
-        }
+    // The block records gather into one table; each task's columns stay
+    // where its worker wrote them, as one segment of the store.
+    let mut blocks = Vec::with_capacity(n);
+    let mut segs = Vec::with_capacity(outs.len());
+    for out in outs {
+        blocks.extend_from_slice(&out.blocks);
+        segs.push(out.cols);
     }
-    let leaf_slots = leaves.len();
-    Ok(Some(Frontier::from_parts(
-        bin, store, stats, slot_of, leaf_slots,
-    )))
+    Frontier::from_parts(bin, Store { segs, blocks }, stats, slots).map(Some)
 }
 
-/// One worker: pop ready nodes, build them, complete parents.
+/// One worker: pop ready tasks, build their nodes, publish each task,
+/// then release its consuming split join.
 fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
     let tc = TraceCtx {
         tracer: ctx.tracer,
         worker: w as u32 + 1,
     };
-    let mut scratch = JoinScratch::new();
+    let mut scratch = Scratch::default();
     let mut idle_spins = 0u32;
     loop {
         if ctx.shared.aborted() {
@@ -667,22 +681,24 @@ fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
         } else {
             index
         };
+        let task = ctx.task_of.get(index).copied().unwrap_or(u32::MAX);
+        let Some(slot) = ctx.tasks.get(task as usize) else {
+            // Not a task root: a scheduling bug. The serial path still
+            // computes the right answer.
+            ctx.shared.request_fallback();
+            return;
+        };
+        let mut out = TaskOut {
+            lo,
+            cols: Columns::new(task),
+            blocks: Vec::with_capacity(index + 1 - lo),
+            accs: Vec::with_capacity(index + 1 - lo),
+            hit_degradations: Vec::new(),
+        };
         for i in lo..=index {
-            match build_node(i, &ctx, &mut scratch, tc) {
-                Ok(built) => {
-                    let len = built.acc.final_len;
-                    let Some(cell) = ctx.results.get(i) else {
-                        ctx.shared.request_fallback();
-                        return;
-                    };
-                    if cell.set(built).is_err() {
-                        // Double-build: a scheduling bug. The serial path
-                        // still computes the right answer.
-                        ctx.shared.request_fallback();
-                        return;
-                    }
+            match build_node(i, &ctx, &mut out, &mut scratch, tc) {
+                Ok(len) => {
                     ctx.shared.committed.fetch_add(len, Ordering::Relaxed);
-                    ctx.remaining.fetch_sub(1, Ordering::AcqRel);
                 }
                 Err(trip) => {
                     if !is_abort(&trip) {
@@ -699,7 +715,14 @@ fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
                 }
             }
         }
-        // The task is complete: release the consuming split join.
+        if slot.set(out).is_err() {
+            // Double-build: a scheduling bug. The serial path still
+            // computes the right answer.
+            ctx.shared.request_fallback();
+            return;
+        }
+        ctx.remaining.fetch_sub(index + 1 - lo, Ordering::AcqRel);
+        // The task is published: release the consuming split join.
         let p = ctx.parent.get(index).copied().unwrap_or(usize::MAX);
         if p != usize::MAX {
             if let Some(dep) = ctx.deps.get(p) {
@@ -711,14 +734,17 @@ fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
     }
 }
 
-/// Builds one node under a per-worker governor, recording the replay
-/// accounting.
+/// Builds node `index` of the running task `out` under a per-worker
+/// governor: appends its lists to the task's columns and its block
+/// record and replay accounting to the task. Returns the committed
+/// length.
 fn build_node(
     index: usize,
     ctx: &WorkerCtx<'_>,
-    scratch: &mut JoinScratch,
+    out: &mut TaskOut,
+    scratch: &mut Scratch,
     tc: TraceCtx<'_>,
-) -> Result<BuiltNode, Trip> {
+) -> Result<usize, Trip> {
     ctx.shared.check_realtime(index)?;
     let node = ctx
         .bin
@@ -726,50 +752,49 @@ fn build_node(
         .ok_or(Trip::Internal("scheduler node index out of range"))?;
     let mut acc = NodeAcc::default();
     let mut gov = WorkerGov::new(ctx.shared, index);
-    let shapes = match node {
+    let block = match node {
         BinNode::Leaf { module, .. } => {
             let list = ctx
                 .library
                 .get(*module)
-                .map(|m| m.implementations().clone())
-                .ok_or(Trip::Internal("leaf module vanished mid-run"))?;
+                .ok_or(Trip::Internal("leaf module vanished mid-run"))?
+                .implementations();
             gov.charge(list.len())?;
-            Shapes::Rect {
-                list,
-                prov: Vec::new(),
-            }
+            out.cols.push_leaf(list.as_slice())?
         }
         BinNode::Join { op, left, right } => {
             let fp = ctx.fps.and_then(|f| f.get(index)).copied();
-            let mut hit_shapes = None;
+            let mut hit = None;
             if let (Some(cache), Some(fp)) = (ctx.cache, fp) {
                 acc.looked_up = true;
-                if let Some(hit) = cache.lookup(fp) {
-                    gov.charge(hit.len())?;
+                if let Some(found) = cache.lookup(fp) {
+                    gov.charge(found.len())?;
                     acc.initial_hit = true;
                     tc.emit(TraceEvent::CacheHit {
                         node: index as u32,
-                        len: hit.len() as u32,
+                        len: found.len() as u32,
                     });
-                    acc.hit_degradations = hit.degradations.clone();
-                    hit_shapes = Some(cached_to_shapes(hit.shapes)?);
+                    if !found.degradations.is_empty() {
+                        out.hit_degradations.push((index, found.degradations));
+                    }
+                    hit = Some(found.shapes);
                 } else {
                     tc.emit(TraceEvent::CacheMiss { node: index as u32 });
                 }
             }
-            match hit_shapes {
-                Some(shapes) => shapes,
+            match hit {
+                Some(shapes) => out.cols.push_cached(shapes)?,
                 None => {
-                    let left = ctx.results.get(*left).and_then(OnceLock::get);
-                    let right = ctx.results.get(*right).and_then(OnceLock::get);
-                    let (Some(left), Some(right)) = (left, right) else {
+                    let (Some(left), Some(right)) =
+                        (operand(ctx, out, *left), operand(ctx, out, *right))
+                    else {
                         return Err(Trip::Internal("scheduler dependency not built"));
                     };
                     let mut node_stats = RunStats::default();
-                    let shapes = build_join(
+                    build_join(
                         *op,
-                        &left.shapes,
-                        &right.shapes,
+                        left,
+                        right,
                         ctx.config,
                         ctx.eff,
                         &mut gov,
@@ -781,15 +806,31 @@ fn build_node(
                     acc.r_reductions = node_stats.r_reductions;
                     acc.l_reductions = node_stats.l_reductions;
                     acc.selection_time = node_stats.selection_time;
-                    shapes
+                    out.cols.commit(&scratch.out)?
                 }
             }
         }
     };
     acc.generated = gov.generated;
     acc.transient_peak = gov.peak;
-    acc.final_len = shapes.len();
-    Ok(BuiltNode { shapes, acc })
+    out.blocks.push(block);
+    out.accs.push(acc);
+    Ok(block.len())
+}
+
+/// The committed lists of join operand `child`: a node of the running
+/// task itself, or else the root of a published task (every child of a
+/// split join is one), which is that task's last node.
+fn operand<'v>(ctx: &'v WorkerCtx<'_>, out: &'v TaskOut, child: usize) -> Option<View<'v>> {
+    if child >= out.lo {
+        let block = out.blocks.get(child - out.lo)?;
+        return Some(out.cols.view(block));
+    }
+    let task = ctx.tasks.get(*ctx.task_of.get(child)? as usize)?.get()?;
+    if task.lo + task.blocks.len() != child + 1 {
+        return None;
+    }
+    Some(task.cols.view(task.blocks.last()?))
 }
 
 /// Replays the serial schedule over the per-node accounting: walks nodes
@@ -802,8 +843,7 @@ fn build_node(
 /// which nodes the serial pass would have stored to the cache.
 fn replay_serial_schedule(
     bin: &BinaryTree,
-    store: &[Shapes],
-    accs: &mut [NodeAcc],
+    outs: &mut [TaskOut],
     config: &OptimizeConfig,
     fps: Option<&[Fingerprint]>,
     caching: bool,
@@ -817,69 +857,69 @@ fn replay_serial_schedule(
     let mut peak: usize = 0;
     let mut stats = RunStats::default();
     let mut stored: HashSet<Fingerprint> = HashSet::new();
-    for (i, acc) in accs.iter_mut().enumerate() {
-        let is_join = matches!(bin.node(i), Some(BinNode::Join { .. }));
-        let fp = fps.and_then(|f| f.get(i)).copied();
-        // Would the serial pass have hit the cache here? Either the
-        // pre-run lookup hit, or an identical block earlier in tree
-        // order stored under the same address during this run.
-        let serial_hit = caching
-            && is_join
-            && acc.looked_up
-            && (acc.initial_hit || fp.is_some_and(|fp| stored.contains(&fp)));
-        let (d_gen, d_peak) = if serial_hit {
-            // A serial hit charges the cached list in one go.
-            (acc.final_len as u64, acc.final_len)
-        } else {
-            (acc.generated, acc.transient_peak)
-        };
-        // Budget: the serial meter trips when committed-so-far plus the
-        // block's in-flight live count exceeds the limit at any charge;
-        // the recorded transient peak is that maximum.
-        if limit.is_some_and(|l| committed + d_peak > l) {
-            return None;
-        }
-        // Fault plan: trips when the generated ordinal crosses a point
-        // within this block's charges.
-        let after = generated + d_gen;
-        while let Some(&p) = points.get(cursor) {
-            if p <= generated {
-                cursor += 1;
-                continue;
-            }
-            if p <= after {
+    for out in outs {
+        let hits = &out.hit_degradations;
+        for (i, (acc, block)) in (out.lo..).zip(out.accs.iter_mut().zip(&out.blocks)) {
+            let is_join = matches!(bin.node(i), Some(BinNode::Join { .. }));
+            let fp = fps.and_then(|f| f.get(i)).copied();
+            let final_len = block.len();
+            // Would the serial pass have hit the cache here? Either the
+            // pre-run lookup hit, or an identical block earlier in tree
+            // order stored under the same address during this run.
+            let serial_hit = caching
+                && is_join
+                && acc.looked_up
+                && (acc.initial_hit || fp.is_some_and(|fp| stored.contains(&fp)));
+            let (d_gen, d_peak) = if serial_hit {
+                // A serial hit charges the cached list in one go.
+                (final_len as u64, final_len)
+            } else {
+                (acc.generated, acc.transient_peak)
+            };
+            // Budget: the serial meter trips when committed-so-far plus
+            // the block's in-flight live count exceeds the limit at any
+            // charge; the recorded transient peak is that maximum.
+            if limit.is_some_and(|l| committed + d_peak > l) {
                 return None;
             }
-            break;
-        }
-        generated = after;
-        peak = peak.max(committed + d_peak);
-        committed += acc.final_len;
-        if serial_hit {
-            stats.cache_hits += 1;
-            stats
-                .degradations
-                .extend(acc.hit_degradations.iter().cloned());
-        } else {
-            if caching && is_join && acc.looked_up {
-                stats.cache_misses += 1;
-                acc.store_after_replay = true;
-                if let Some(fp) = fp {
-                    stored.insert(fp);
+            // Fault plan: trips when the generated ordinal crosses a
+            // point within this block's charges.
+            let after = generated + d_gen;
+            while let Some(&p) = points.get(cursor) {
+                if p <= generated {
+                    cursor += 1;
+                    continue;
                 }
+                if p <= after {
+                    return None;
+                }
+                break;
             }
-            stats.r_reductions += acc.r_reductions;
-            stats.l_reductions += acc.l_reductions;
-            stats.selection_time += acc.selection_time;
-        }
-        match store.get(i) {
-            Some(Shapes::Rect { list, .. }) if is_join => {
-                stats.max_r_block = stats.max_r_block.max(list.len());
+            generated = after;
+            peak = peak.max(committed + d_peak);
+            committed += final_len;
+            if serial_hit {
+                stats.cache_hits += 1;
+                if let Some((_, events)) = hits.iter().find(|&&(node, _)| node == i) {
+                    stats.degradations.extend(events.iter().cloned());
+                }
+            } else {
+                if caching && is_join && acc.looked_up {
+                    stats.cache_misses += 1;
+                    acc.store_after_replay = true;
+                    if let Some(fp) = fp {
+                        stored.insert(fp);
+                    }
+                }
+                stats.r_reductions += acc.r_reductions;
+                stats.l_reductions += acc.l_reductions;
+                stats.selection_time += acc.selection_time;
             }
-            Some(Shapes::L { shapes, .. }) => {
-                stats.max_l_block = stats.max_l_block.max(shapes.len());
+            match block.kind {
+                Kind::Rect if is_join => stats.max_r_block = stats.max_r_block.max(final_len),
+                Kind::L => stats.max_l_block = stats.max_l_block.max(final_len),
+                Kind::Rect => {}
             }
-            _ => {}
         }
     }
     stats.peak_impls = peak;

@@ -70,7 +70,7 @@ pub struct CombinedRect {
 #[must_use]
 pub fn combine_with_provenance(a: &RList, b: &RList, how: Compose) -> Vec<CombinedRect> {
     let mut scratch = JoinScratch::new();
-    let _ = combine_with_provenance_scratch(a, b, how, &mut scratch);
+    let _ = combine_with_provenance_scratch(a.as_slice(), b.as_slice(), how, &mut scratch);
     scratch.combined
 }
 
@@ -81,9 +81,14 @@ pub fn combine_with_provenance(a: &RList, b: &RList, how: Compose) -> Vec<Combin
 /// to the working-set size, the call performs **zero** heap allocations
 /// — the property the allocation-count test in `crates/shape/tests`
 /// pins down.
+///
+/// The children are borrowed as slices, so callers that keep many lists
+/// in shared columns can merge them in place; each slice must be an
+/// irreducible R-list (width strictly decreasing, height strictly
+/// increasing), as [`RList::as_slice`] returns.
 pub fn combine_with_provenance_scratch<'s>(
-    a: &RList,
-    b: &RList,
+    a: &[Rect],
+    b: &[Rect],
     how: Compose,
     scratch: &'s mut JoinScratch,
 ) -> &'s [CombinedRect] {
@@ -93,7 +98,7 @@ pub fn combine_with_provenance_scratch<'s>(
     }
     match how {
         Compose::Stack => {
-            stack_candidates_into(a.as_slice(), b.as_slice(), &mut scratch.combined);
+            stack_candidates_into(a, b, &mut scratch.combined);
         }
         Compose::Beside => {
             // Mirror of the stacked walk with the axes swapped: walk from the
@@ -246,14 +251,20 @@ mod tests {
         for how in [Compose::Stack, Compose::Beside] {
             let owned = combine_with_provenance(&a, &b, how);
             // Run twice: the second call exercises dirty, pre-grown buffers.
-            let _ = combine_with_provenance_scratch(&a, &b, how, &mut scratch);
-            let reused = combine_with_provenance_scratch(&a, &b, how, &mut scratch);
+            let _ = combine_with_provenance_scratch(a.as_slice(), b.as_slice(), how, &mut scratch);
+            let reused =
+                combine_with_provenance_scratch(a.as_slice(), b.as_slice(), how, &mut scratch);
             assert_eq!(owned.as_slice(), reused, "{how:?}");
         }
         // Empty children clear stale contents.
-        let _ = combine_with_provenance_scratch(&a, &b, Compose::Stack, &mut scratch);
+        let _ = combine_with_provenance_scratch(
+            a.as_slice(),
+            b.as_slice(),
+            Compose::Stack,
+            &mut scratch,
+        );
         assert!(
-            combine_with_provenance_scratch(&RList::new(), &b, Compose::Stack, &mut scratch)
+            combine_with_provenance_scratch(&[], b.as_slice(), Compose::Stack, &mut scratch)
                 .is_empty()
         );
     }

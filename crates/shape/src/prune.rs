@@ -294,8 +294,30 @@ pub fn prune_l_block(
     before - after
 }
 
-/// `true` if `chains` are Definition 3 chains covering `shapes` in order.
-fn is_chain_block(shapes: &[LShape], chains: &[(u32, u32)]) -> bool {
+/// `true` if `chains` are half-open spans that cover `shapes` in order,
+/// each a paper Definition 3 chain: one `w2`, `w1` strictly falling, `h1`
+/// and `h2` never falling, consecutive members differing in a height.
+///
+/// This is the structure [`prune_l_block`] and the wheel generators rely
+/// on; callers that accept L-blocks from outside (a persisted cache, say)
+/// check it before trusting them.
+///
+/// ```
+/// use fp_geom::LShape;
+/// use fp_shape::prune::is_chain_block;
+///
+/// let shapes = [
+///     LShape::new(9, 3, 2, 1)?,
+///     LShape::new(7, 3, 4, 2)?,
+///     LShape::new(8, 5, 4, 4)?,
+/// ];
+/// assert!(is_chain_block(&shapes, &[(0, 2), (2, 3)]));
+/// assert!(!is_chain_block(&shapes, &[(0, 3)])); // w2 changes mid-chain
+/// assert!(!is_chain_block(&shapes, &[(0, 2)])); // the last one is uncovered
+/// # Ok::<(), fp_geom::InvalidShapeError>(())
+/// ```
+#[must_use]
+pub fn is_chain_block(shapes: &[LShape], chains: &[(u32, u32)]) -> bool {
     let mut next = 0u32;
     let covered = chains.iter().all(|&(s, e)| {
         let ok = s == next

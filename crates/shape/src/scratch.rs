@@ -25,9 +25,9 @@ use crate::combine::CombinedRect;
 /// let a = RList::from_candidates(vec![Rect::new(4, 2), Rect::new(2, 3)]);
 /// let b = RList::from_candidates(vec![Rect::new(3, 3), Rect::new(1, 5)]);
 /// let mut scratch = JoinScratch::new();
-/// let first = combine_with_provenance_scratch(&a, &b, Compose::Beside, &mut scratch).len();
+/// let first = combine_with_provenance_scratch(a.as_slice(), b.as_slice(), Compose::Beside, &mut scratch).len();
 /// // The second call reuses the buffers the first one grew.
-/// let second = combine_with_provenance_scratch(&a, &b, Compose::Beside, &mut scratch).len();
+/// let second = combine_with_provenance_scratch(a.as_slice(), b.as_slice(), Compose::Beside, &mut scratch).len();
 /// assert_eq!(first, second);
 /// ```
 #[derive(Default)]

@@ -92,14 +92,16 @@ fn warmed_scratch_combine_does_not_allocate() {
 
     // Warm-up: grow every scratch vector to the working-set size.
     for how in [Compose::Beside, Compose::Stack] {
-        let _ = combine_with_provenance_scratch(&a, &b, how, &mut scratch);
+        let _ = combine_with_provenance_scratch(a.as_slice(), b.as_slice(), how, &mut scratch);
     }
 
     let (count, total) = count_allocations(|| {
         let mut total = 0usize;
         for _ in 0..8 {
             for how in [Compose::Beside, Compose::Stack] {
-                total += combine_with_provenance_scratch(&a, &b, how, &mut scratch).len();
+                total +=
+                    combine_with_provenance_scratch(a.as_slice(), b.as_slice(), how, &mut scratch)
+                        .len();
             }
         }
         total
@@ -164,13 +166,15 @@ fn scratch_combine_matches_allocating_combine() {
     let mut scratch = JoinScratch::new();
     for how in [Compose::Beside, Compose::Stack] {
         let plain = combine_with_provenance(&a, &b, how);
-        let via_scratch = combine_with_provenance_scratch(&a, &b, how, &mut scratch).to_vec();
+        let via_scratch =
+            combine_with_provenance_scratch(a.as_slice(), b.as_slice(), how, &mut scratch).to_vec();
         assert_eq!(plain, via_scratch, "{how:?}: scratch path diverges");
     }
 
     let (plain_allocs, _) = count_allocations(|| combine_with_provenance(&a, &b, Compose::Beside));
     let (scratch_allocs, _) = count_allocations(|| {
-        combine_with_provenance_scratch(&a, &b, Compose::Beside, &mut scratch).len()
+        combine_with_provenance_scratch(a.as_slice(), b.as_slice(), Compose::Beside, &mut scratch)
+            .len()
     });
     println!("allocating path: {plain_allocs}, scratch path: {scratch_allocs}");
     if cfg!(debug_assertions) {
