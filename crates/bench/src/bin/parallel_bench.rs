@@ -1,11 +1,12 @@
-//! Tree-parallel scheduler benchmark: FP1–FP4 wall-clock at 1/2/4/8
-//! worker threads, cold cache and warm cache, emitted as
-//! machine-readable `BENCH_parallel.json`.
+//! Tree-parallel scheduler benchmark: the paper benchmarks FP1–FP4 and
+//! the mega-scale family at 1/2/4/8 worker threads, cold cache and warm
+//! cache, emitted as machine-readable `BENCH_parallel.json`.
 //!
 //! ```sh
 //! cargo run --release -p fp-bench --bin parallel_bench
 //! cargo run --release -p fp-bench --bin parallel_bench -- --out path.json
 //! cargo run --release -p fp-bench --bin parallel_bench -- --smoke
+//! cargo run --release -p fp-bench --bin parallel_bench -- --all
 //! ```
 //!
 //! Per benchmark and thread count, two timed phases:
@@ -15,25 +16,31 @@
 //!
 //! Timings are the best of [`REPS`] repetitions. Every run's area and
 //! frontier must agree with the single-threaded baseline — the bench
-//! doubles as a determinism gate. The headline speedup gate (cold FP4
-//! at 4 threads ≥ [`SPEEDUP_GATE`]× over 1 thread) is enforced only
-//! when the host actually has ≥ 4 cores: thread counts above
-//! `available_parallelism` cannot speed anything up, and skipping the
-//! gate there keeps the bench honest instead of flaky.
+//! doubles as a determinism gate at paper and mega granularity.
 //!
-//! `--smoke` runs a reduced matrix (FP1–FP2, threads 1/2, 1 rep) with
-//! the identical JSON schema, for CI schema validation.
+//! The rows are FP1–FP4 (`n = 8`), then FP5-10k and FP6-50k; `--all`
+//! adds FP7-150k and FP8-500k (long). The headline gate applies to the
+//! last, largest row, which sits far above the auto-serial bound: cold
+//! at 4 threads must reach [`SPEEDUP_GATE`]× over 1 thread. It is
+//! enforced only when the host actually has ≥ 4 cores: thread counts
+//! above `available_parallelism` cannot speed anything up, and skipping
+//! the gate there keeps the bench honest instead of flaky
+//! (`gate_enforced` records the decision).
+//!
+//! `--smoke` runs a reduced matrix (FP1–FP2 at `n = 4` plus a
+//! ~2.5k-module mega instance, threads 1/2, 1 rep) with the identical
+//! JSON schema, for CI.
 
 use std::time::Instant;
 
 use fp_optimizer::{OptimizeConfig, Optimizer, SharedBlockCache};
-use fp_tree::generators;
-use fp_tree::{FloorplanTree, ModuleLibrary};
+use fp_tree::mega::{self, MegaConfig};
+use fp_tree::{generators, FloorplanTree, ModuleLibrary};
 
 /// Repetitions per (bench, threads, phase) cell; the minimum is kept.
 const REPS: usize = 3;
-/// Block-cache budget for the warm phase (comfortably holds FP4).
-const CACHE_BYTES: usize = 256 << 20;
+/// Block-cache budget for the warm phase (holds the FP6-50k frontier).
+const CACHE_BYTES: usize = 1 << 30;
 /// Required cold-cache speedup at 4 threads on the largest benchmark,
 /// enforced when the host has at least 4 cores.
 const SPEEDUP_GATE: f64 = 2.0;
@@ -141,6 +148,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_parallel.json".to_owned();
     let mut smoke = false;
+    let mut all = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -152,6 +160,7 @@ fn main() {
                 }
             },
             "--smoke" => smoke = true,
+            "--all" => all = true,
             other => {
                 eprintln!("parallel_bench: unknown option {other}");
                 std::process::exit(2);
@@ -166,16 +175,38 @@ fn main() {
         (&SWEEP, REPS, 8)
     };
 
-    let mut cases = vec![("FP1", generators::fp1()), ("FP2", generators::fp2())];
+    let mut papers = vec![("FP1", generators::fp1()), ("FP2", generators::fp2())];
     if !smoke {
-        cases.push(("FP3", generators::fp3()));
-        cases.push(("FP4", generators::fp4()));
+        papers.push(("FP3", generators::fp3()));
+        papers.push(("FP4", generators::fp4()));
     }
+    // The smoke instance sits just above the auto-serial bound
+    // (2·2500−1 = 4999 binary nodes ≥ 256·16), so its parallel cells
+    // exercise inline subtree tasks at the default split threshold.
+    let megas: Vec<(String, MegaConfig)> = if smoke {
+        let cfg = MegaConfig::new(2_500).with_seed(42);
+        vec![(cfg.name(), cfg)]
+    } else {
+        mega::mega_family()
+            .into_iter()
+            .filter(|(name, _)| all || matches!(*name, "FP5-10k" | "FP6-50k"))
+            .map(|(name, cfg)| (name.to_owned(), cfg))
+            .collect()
+    };
 
     let mut rows = Vec::new();
-    for (name, bench) in &cases {
+    for (name, bench) in &papers {
         eprintln!("parallel_bench: running {name} (n = {n}, sweep {sweep:?}) ...");
         let library = generators::module_library(&bench.tree, n, 7);
+        rows.push(run_bench(name, &bench.tree, &library, sweep, reps));
+    }
+    for (name, cfg) in &megas {
+        eprintln!(
+            "parallel_bench: running {name} ({} modules, sweep {sweep:?}) ...",
+            cfg.modules
+        );
+        let bench = mega::mega_floorplan(cfg);
+        let library = mega::mega_library(&bench.tree, cfg);
         rows.push(run_bench(name, &bench.tree, &library, sweep, reps));
     }
 
@@ -210,13 +241,15 @@ fn main() {
         ));
         for c in &row.cells {
             println!(
-                "{:>4} @{} threads: cold {:>9.3} ms ({:>5.2}x) | warm {:>8.3} ms ({:>5.2}x)",
+                "{:>8} @{} threads: cold {:>10.3} ms ({:>5.2}x) | warm {:>9.3} ms ({:>5.2}x) | \
+                 peak rss {} MiB",
                 row.name,
                 c.threads,
                 c.cold_millis,
                 base_cold / c.cold_millis.max(1e-6),
                 c.warm_millis,
                 base_warm / c.warm_millis.max(1e-6),
+                c.peak_rss_bytes >> 20,
             );
         }
     }
@@ -237,8 +270,8 @@ fn main() {
     }
     println!("wrote {out_path}");
 
-    // Headline gate: cold FP4 at 4 threads must beat 1 thread by
-    // SPEEDUP_GATE when the host can actually run 4 workers.
+    // Headline gate: cold on the largest benchmark at 4 threads must
+    // beat 1 thread by SPEEDUP_GATE when the host can run 4 workers.
     if smoke {
         return;
     }

@@ -14,11 +14,6 @@
 //!   is the summed distance from each discarded implementation to its
 //!   nearest kept neighbour under any `L_p` [`Metric`] (Lemmas 2–3); the
 //!   optimal subset is found in `O(n³)` (Theorem 3).
-//! * [`s_selection`] — for bounded-staircase blocks (irreducible
-//!   [`fp_shape::SList`] chains). The staircase generalization: the same
-//!   crossover table build and flat CSPP kernel with the exact `L₁`
-//!   profile distance as the oracle; a two-tooth list reproduces
-//!   [`l_selection`] byte for byte.
 //! * [`reduce_llist_set`] — applies `L_Selection` across a whole
 //!   [`fp_shape::LListSet`] with the paper's per-list budget
 //!   `⌊K·|L|/N⌋` and §5 engineering policies (θ trigger, heuristic
@@ -55,7 +50,6 @@ mod metric;
 mod policy;
 mod r_error;
 mod r_select;
-mod s_select;
 
 pub use heuristic::heuristic_l_reduction;
 pub use l_error::l_selection_error;
@@ -71,10 +65,6 @@ pub use policy::{
 };
 pub use r_error::{RErrorPrefix, RErrorTable};
 pub use r_select::{r_selection, r_selection_apply, r_selection_scratch, RSelection};
-pub use s_select::{
-    reduce_slists, s_selection, s_selection_apply, s_selection_error, s_selection_scratch,
-    SSelection,
-};
 
 use core::fmt;
 

@@ -6,16 +6,9 @@
 //! * [`Rect`] — an implementation of a *rectangular block*, a `(w, h)` pair.
 //! * [`LShape`] — an implementation of an *L-shaped block*, a canonical
 //!   `(w1, w2, h1, h2)` 4-tuple with `w1 >= w2` and `h1 >= h2`.
-//! * [`LOrient`] — the four axis-aligned orientations an L-shaped block can
-//!   take inside a floorplan (the canonical tuple is orientation-free; the
-//!   block carries the orientation).
-//! * [`Transform`] — axis mirrors and transposition acting on shapes and
-//!   orientations.
 //! * [`Staircase`] — a bounded monotone *staircase block*: the rectilinear
 //!   generalization of rectangles (one tooth) and L-shapes (two teeth), with
 //!   at most [`MAX_STAIRCASE_STEPS`] notch steps.
-//! * [`Shape`] / [`AnyShape`] — the sealed common API over the three
-//!   geometries, with [`Staircase`] as the canonical embedding.
 //! * Placed geometry ([`Point`], [`PlacedRect`]) used to realize and verify
 //!   final layouts.
 //! * Layout post-processing ([`polygonize`], [`whitespace`]) — scanline
@@ -47,17 +40,13 @@ mod lshape;
 mod placed;
 mod polygonize;
 mod rect;
-mod shape_api;
 mod staircase;
-mod transform;
 
-pub use lshape::{InvalidShapeError, LOrient, LShape};
+pub use lshape::{InvalidShapeError, LShape};
 pub use placed::{dead_space, first_overlap, total_area, BoundingBox, PlacedRect, Point};
 pub use polygonize::{polygonize, whitespace, DeadRegion, Polygonized, WhitespaceReport};
 pub use rect::Rect;
-pub use shape_api::{AnyShape, Shape};
 pub use staircase::{InvalidStaircaseError, Staircase, MAX_STAIRCASE_STEPS};
-pub use transform::Transform;
 
 /// Grid coordinate / length type. All module and block dimensions are
 /// non-negative integers on a fixed-point grid.

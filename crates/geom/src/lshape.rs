@@ -34,9 +34,8 @@ impl std::error::Error for InvalidShapeError {}
 ///
 /// with `w1 >= w2` and `h1 >= h2`, so the *notch* (the missing corner) is at
 /// the top-right. `w1`/`w2` are the widths of the bottom/top edges and
-/// `h1`/`h2` the heights of the left/right edges. The physical orientation
-/// of an L-shaped *block* inside a floorplan is tracked separately by
-/// [`LOrient`]; implementations are always stored canonically.
+/// `h1`/`h2` the heights of the left/right edges. Implementations are
+/// always stored canonically.
 ///
 /// A tuple with `w1 == w2` or `h1 == h2` degenerates to a rectangle; this is
 /// permitted (it arises naturally when joining blocks whose edges align) and
@@ -54,7 +53,6 @@ impl std::error::Error for InvalidShapeError {}
 /// # Ok::<(), fp_geom::InvalidShapeError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LShape {
     /// Width of the bottom edge (`w1 >= w2`).
     pub w1: Coord,
@@ -259,110 +257,6 @@ impl From<Rect> for LShape {
     }
 }
 
-/// Orientation of an L-shaped block inside a floorplan: the compass corner
-/// where the notch (missing corner) sits.
-///
-/// Implementations are always stored as canonical [`LShape`] tuples (notch
-/// conceptually at the top-right); the block's orientation says how the
-/// canonical frame maps to chip coordinates. [`crate::Transform`]s act on
-/// orientations.
-///
-/// ```
-/// use fp_geom::{LOrient, Transform};
-///
-/// assert_eq!(LOrient::NotchNe.transformed(Transform::FLIP_X), LOrient::NotchNw);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum LOrient {
-    /// Notch at the top-right (the canonical orientation).
-    #[default]
-    NotchNe,
-    /// Notch at the top-left.
-    NotchNw,
-    /// Notch at the bottom-right.
-    NotchSe,
-    /// Notch at the bottom-left.
-    NotchSw,
-}
-
-impl LOrient {
-    /// All four orientations.
-    pub const ALL: [LOrient; 4] = [
-        LOrient::NotchNe,
-        LOrient::NotchNw,
-        LOrient::NotchSe,
-        LOrient::NotchSw,
-    ];
-
-    /// The orientation after mirroring about the vertical axis (x := -x).
-    #[inline]
-    #[must_use]
-    pub const fn flipped_x(self) -> Self {
-        match self {
-            LOrient::NotchNe => LOrient::NotchNw,
-            LOrient::NotchNw => LOrient::NotchNe,
-            LOrient::NotchSe => LOrient::NotchSw,
-            LOrient::NotchSw => LOrient::NotchSe,
-        }
-    }
-
-    /// The orientation after mirroring about the horizontal axis (y := -y).
-    #[inline]
-    #[must_use]
-    pub const fn flipped_y(self) -> Self {
-        match self {
-            LOrient::NotchNe => LOrient::NotchSe,
-            LOrient::NotchSe => LOrient::NotchNe,
-            LOrient::NotchNw => LOrient::NotchSw,
-            LOrient::NotchSw => LOrient::NotchNw,
-        }
-    }
-
-    /// The orientation after transposing (reflecting across `y = x`).
-    ///
-    /// Transposition fixes NE and SW and swaps NW with SE.
-    #[inline]
-    #[must_use]
-    pub const fn transposed(self) -> Self {
-        match self {
-            LOrient::NotchNe => LOrient::NotchNe,
-            LOrient::NotchSw => LOrient::NotchSw,
-            LOrient::NotchNw => LOrient::NotchSe,
-            LOrient::NotchSe => LOrient::NotchNw,
-        }
-    }
-
-    /// Applies a [`crate::Transform`] to this orientation.
-    #[inline]
-    #[must_use]
-    pub const fn transformed(self, t: crate::Transform) -> Self {
-        let mut o = self;
-        if t.transpose() {
-            o = o.transposed();
-        }
-        if t.flip_x() {
-            o = o.flipped_x();
-        }
-        if t.flip_y() {
-            o = o.flipped_y();
-        }
-        o
-    }
-}
-
-impl fmt::Display for LOrient {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LOrient::NotchNe => "NE",
-            LOrient::NotchNw => "NW",
-            LOrient::NotchSe => "SE",
-            LOrient::NotchSw => "SW",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,22 +336,6 @@ mod tests {
         assert_eq!(l.transposed().transposed(), l);
         assert_eq!(l.transposed().area(), l.area());
         assert_eq!(l.transposed(), LShape::new_canonical(8, 3, 10, 4));
-    }
-
-    #[test]
-    fn orient_transform_table() {
-        use crate::Transform;
-        assert_eq!(LOrient::NotchNe.flipped_x(), LOrient::NotchNw);
-        assert_eq!(LOrient::NotchNe.flipped_y(), LOrient::NotchSe);
-        assert_eq!(LOrient::NotchNe.flipped_x().flipped_y(), LOrient::NotchSw);
-        assert_eq!(LOrient::NotchNe.transposed(), LOrient::NotchNe);
-        assert_eq!(LOrient::NotchNw.transposed(), LOrient::NotchSe);
-        for o in LOrient::ALL {
-            assert_eq!(o.flipped_x().flipped_x(), o);
-            assert_eq!(o.flipped_y().flipped_y(), o);
-            assert_eq!(o.transposed().transposed(), o);
-            assert_eq!(o.transformed(Transform::IDENTITY), o);
-        }
     }
 
     /// Shoelace area of a counterclockwise polygon.

@@ -7,7 +7,6 @@ use crate::{area, Area, Coord, Rect};
 
 /// A point on the chip grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: Coord,
@@ -55,7 +54,6 @@ impl From<(Coord, Coord)> for Point {
 /// assert!(!a.overlaps(&b)); // edge-adjacent rectangles do not overlap
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlacedRect {
     /// Lower-left corner.
     pub origin: Point,

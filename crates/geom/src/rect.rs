@@ -22,7 +22,6 @@ use crate::{area, Area, Coord};
 /// assert!(Rect::new(31, 20).dominates(r)); // bigger in every dimension
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Width.
     pub w: Coord,

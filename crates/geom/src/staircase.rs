@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{area, Area, Coord, LShape, Rect, Transform};
+use crate::{area, Area, Coord, LShape, Rect};
 
 /// The maximum number of *steps* (inner notch corners) a [`Staircase`]
 /// may carry after canonicalization.
@@ -52,10 +52,7 @@ impl std::error::Error for InvalidStaircaseError {}
 /// [`MAX_STAIRCASE_STEPS`].
 ///
 /// Like [`LShape`], implementations are stored canonically (notches
-/// top-right); a block's physical orientation inside a floorplan is the
-/// combination of a [`Transform`] acting through
-/// [`Staircase::transformed`] and the notch-corner bookkeeping callers
-/// already use for L-shaped blocks ([`crate::LOrient`]).
+/// top-right).
 ///
 /// # Example
 ///
@@ -70,7 +67,6 @@ impl std::error::Error for InvalidStaircaseError {}
 /// # Ok::<(), fp_geom::InvalidStaircaseError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Staircase {
     /// Outer corners `(w_i, h_i)`, widths strictly decreasing, heights
     /// strictly increasing. Never empty.
@@ -281,18 +277,6 @@ impl Staircase {
     pub fn transposed(&self) -> Staircase {
         Staircase {
             corners: self.corners.iter().rev().map(|&(w, h)| (h, w)).collect(),
-        }
-    }
-
-    /// Applies a [`Transform`] to the canonical measurements: mirrors are
-    /// no-ops (they only move the notches, which orientation bookkeeping
-    /// tracks), transposition swaps the axes.
-    #[must_use]
-    pub fn transformed(&self, t: Transform) -> Staircase {
-        if t.transpose() {
-            self.transposed()
-        } else {
-            self.clone()
         }
     }
 
@@ -521,9 +505,6 @@ mod tests {
         assert_eq!(t.transposed(), s);
         assert_eq!(t.area(), s.area());
         assert_eq!(t.bounding_box(), s.bounding_box().rotated());
-        assert_eq!(s.transformed(Transform::TRANSPOSE), t);
-        assert_eq!(s.transformed(Transform::FLIP_X), s);
-        assert_eq!(s.transformed(Transform::ROTATE_180), s);
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //! * an incremental HPWL evaluator ([`HpwlEvaluator`]): per-net
 //!   bounding boxes cached so an annealer move re-evaluates only the
 //!   nets it touched;
-//! * soft modules ([`SoftSpec`]): continuous aspect-ratio ranges
-//!   discretized into ordinary implementation lists, so the paper's
-//!   CSPP selection machinery applies unchanged;
 //! * Pareto utilities ([`pareto_front`], [`hypervolume`]) over (area,
 //!   HPWL, outline fit) objective vectors;
 //! * deterministic netlist generation ([`random_netlist`]) for the
@@ -44,7 +41,6 @@ mod generate;
 mod hpwl;
 mod model;
 mod pareto;
-mod soft;
 
 pub use format::{parse_netlist, write_netlist, ParseNetlistError};
 pub use generate::random_netlist;
@@ -54,7 +50,6 @@ pub use model::{
     Pad, Pin, PinOffset,
 };
 pub use pareto::{hypervolume, pareto_front, pareto_insert, ParetoPoint};
-pub use soft::SoftSpec;
 
 #[cfg(test)]
 mod proptests {

@@ -1653,58 +1653,9 @@ fn global_l_prune<G: Governor>(
         chains,
         ..
     } = out;
-    if fp_shape::legacy::legacy_kernels() {
-        return global_l_prune_legacy(shapes, prov, chains, config, meter, &mut scratch.front);
-    }
     let removed =
         fp_shape::prune::prune_l_block(shapes, prov, chains, cross_limit, &mut scratch.lprune);
     meter.discard(removed);
-}
-
-/// Pre-arena cross-chain prune, kept verbatim behind
-/// [`fp_shape::legacy::legacy_kernels`] as the ablation baseline: a
-/// fresh `collect` per block, a stable four-key sort for the same-`w2`
-/// pass and the reference kernel for the cross-`w2` pass, blind to the
-/// chain structure. Results are identical to [`global_l_prune`]; only
-/// allocation and sweep strategy differ.
-fn global_l_prune_legacy<G: Governor>(
-    l_shapes: &mut Vec<LShape>,
-    prov: &mut Vec<(u32, u32)>,
-    chains: &mut Vec<(u32, u32)>,
-    config: &OptimizeConfig,
-    meter: &mut G,
-    front: &mut Vec<(u64, u64)>,
-) {
-    let before = l_shapes.len();
-    let mut pruned: Vec<(LShape, (u32, u32))> =
-        l_shapes.iter().copied().zip(prov.iter().copied()).collect();
-
-    fp_shape::prune::pareto_min_lshapes_within_w2_scratch(&mut pruned, |&(l, _)| l, front);
-
-    if config.global_l_prune.is_some_and(|t| pruned.len() <= t) {
-        pruned = fp_shape::prune::pareto_min_lshapes_by(pruned, |&(l, _)| l);
-    }
-
-    if pruned.len() == before {
-        return;
-    }
-    let survivors: Vec<LShape> = pruned.iter().map(|&(l, _)| l).collect();
-    let idx_chains = fp_shape::chain_indices(&survivors);
-    let mut new_shapes = Vec::with_capacity(survivors.len());
-    let mut new_prov = Vec::with_capacity(survivors.len());
-    let mut new_chains = Vec::with_capacity(idx_chains.len());
-    for chain in idx_chains {
-        let start = new_shapes.len();
-        for i in chain {
-            new_shapes.push(pruned[i].0);
-            new_prov.push(pruned[i].1);
-        }
-        new_chains.push((start as u32, new_shapes.len() as u32));
-    }
-    meter.discard(before - new_shapes.len());
-    *l_shapes = new_shapes;
-    *prov = new_prov;
-    *chains = new_chains;
 }
 
 /// Keeps the items at the strictly increasing `positions`, in place.
@@ -2315,7 +2266,8 @@ mod tests {
 }
 
 /// The chain-structured L-block prune against the reference kernels and
-/// the legacy path, on blocks built the way the wheel stages build them.
+/// the pre-arena prune, on blocks built the way the wheel stages build
+/// them.
 #[cfg(test)]
 mod l_prune_tests {
     use super::*;
@@ -2323,6 +2275,44 @@ mod l_prune_tests {
 
     /// An L-block: shapes, provenance, chain spans.
     type Block = (Vec<LShape>, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+    /// The pre-arena cross-chain prune [`global_l_prune`] replaced, kept
+    /// as an oracle: a fresh `collect` per block, a stable four-key sort
+    /// for the same-`w2` pass and the reference kernel for the cross-`w2`
+    /// pass above `limit`, blind to the chain structure. Its survivors,
+    /// provenance and chains must equal [`global_l_prune`]'s.
+    fn global_l_prune_legacy(block: &mut Block, limit: usize) {
+        let (l_shapes, prov, chains) = block;
+        let before = l_shapes.len();
+        let mut pruned: Vec<(LShape, (u32, u32))> =
+            l_shapes.iter().copied().zip(prov.iter().copied()).collect();
+
+        pruned = fp_shape::prune::pareto_min_lshapes_within_w2_by(pruned, |&(l, _)| l);
+
+        if pruned.len() <= limit {
+            pruned = fp_shape::prune::pareto_min_lshapes_by(pruned, |&(l, _)| l);
+        }
+
+        if pruned.len() == before {
+            return;
+        }
+        let survivors: Vec<LShape> = pruned.iter().map(|&(l, _)| l).collect();
+        let idx_chains = fp_shape::chain_indices(&survivors);
+        let mut new_shapes = Vec::with_capacity(survivors.len());
+        let mut new_prov = Vec::with_capacity(survivors.len());
+        let mut new_chains = Vec::with_capacity(idx_chains.len());
+        for chain in idx_chains {
+            let start = new_shapes.len();
+            for i in chain {
+                new_shapes.push(pruned[i].0);
+                new_prov.push(pruned[i].1);
+            }
+            new_chains.push((start as u32, new_shapes.len() as u32));
+        }
+        *l_shapes = new_shapes;
+        *prov = new_prov;
+        *chains = new_chains;
+    }
 
     /// Takes the staged L-block out of `out`.
     fn into_block(out: &mut Staged) -> Block {
@@ -2395,16 +2385,9 @@ mod l_prune_tests {
             assert_eq!(current.2, chains, "chain spans");
         }
 
-        let (mut shapes, mut prov, mut chains) = block.clone();
-        global_l_prune_legacy(
-            &mut shapes,
-            &mut prov,
-            &mut chains,
-            &config,
-            &mut gov,
-            &mut Vec::new(),
-        );
-        assert_eq!(current, (shapes, prov, chains), "legacy path");
+        let mut legacy = block.clone();
+        global_l_prune_legacy(&mut legacy, limit);
+        assert_eq!(current, legacy, "pre-arena prune");
         current
     }
 

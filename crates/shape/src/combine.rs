@@ -10,13 +10,11 @@
 
 use fp_geom::Rect;
 
-use crate::prune::pareto_min_rects_in_place;
 use crate::scratch::JoinScratch;
 use crate::RList;
 
 /// How two blocks are composed by a slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Compose {
     /// Side by side (a vertical cut line): widths add, heights max.
     Beside,
@@ -116,11 +114,6 @@ pub fn combine_with_provenance_scratch<'s>(
                 c.right = m - 1 - c.right;
             }
         }
-    }
-    if crate::legacy::legacy_kernels() {
-        // Pre-SoA path, kept for the mega_bench ablation: sort + sweep.
-        pareto_min_rects_in_place(&mut scratch.combined, |c| c.rect);
-        return &scratch.combined;
     }
     // The lockstep walk over two strict staircases emits strictly
     // decreasing max-width and strictly increasing summed height, so the

@@ -7,11 +7,10 @@
 //!   `(w, h)` pairs, width decreasing / height increasing);
 //! * L-shaped blocks → an [`LListSet`], a partition of the non-redundant
 //!   `(w1, w2, h1, h2)` 4-tuples into irreducible [`LList`] chains sharing a
-//!   common `w2` with `w1` decreasing and `h1`, `h2` increasing;
-//! * bounded-staircase blocks → an [`SListSet`], stratified by tooth count
-//!   so rectangles and L-shapes keep their specialized kernels while deeper
-//!   staircases form irreducible [`SList`] chains with the same monotone
-//!   structure.
+//!   common `w2` with `w1` decreasing and `h1`, `h2` increasing.
+//!
+//! Modules with bounded-staircase geometry join these lists through their
+//! bounding boxes, so there is no third list kind.
 //!
 //! The crate also provides the dominance-pruning kernels ([`prune`]) used to
 //! build these lists from raw candidate sets, the classic Stockmeyer merge
@@ -38,17 +37,12 @@
 #![warn(missing_docs)]
 
 pub mod combine;
-pub mod legacy;
 mod llist;
 pub mod prune;
 mod rlist;
 pub mod scratch;
-mod shapefn;
-mod slist;
 pub mod staircase;
 
 pub use llist::{chain_indices, ChainScratch, LList, LListSet};
 pub use rlist::RList;
 pub use scratch::JoinScratch;
-pub use shapefn::ShapeFunction;
-pub use slist::{SList, SListSet};

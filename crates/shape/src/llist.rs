@@ -31,7 +31,6 @@ use crate::prune::pareto_min_lshapes;
 /// # Ok::<(), fp_geom::InvalidShapeError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LList {
     items: Vec<LShape>,
 }
@@ -214,7 +213,6 @@ impl IntoIterator for LList {
 /// # Ok::<(), fp_geom::InvalidShapeError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LListSet {
     lists: Vec<LList>,
 }

@@ -118,7 +118,7 @@ pub fn pareto_min_lshapes(items: Vec<LShape>) -> Vec<LShape> {
 }
 
 /// Removes every L-shape dominated by another **with the same `w2`**, in
-/// `O(n log n)` — the cheap first pass of L-block pruning.
+/// `O(n log n)` — the reference for the first pass of [`prune_l_block`].
 ///
 /// Within a fixed `w2`, dominance is 3-dimensional (`w1`, `h1`, `h2`); the
 /// kernel sorts each group by `w1` and sweeps a 2-D staircase of minimal
@@ -128,21 +128,6 @@ pub fn pareto_min_lshapes(items: Vec<LShape>) -> Vec<LShape> {
 /// Survivors are returned in the canonical `(w2, w1 desc, h1, h2)` order
 /// that [`crate::chain_indices`] expects.
 pub fn pareto_min_lshapes_within_w2_by<T>(mut items: Vec<T>, key: impl Fn(&T) -> LShape) -> Vec<T> {
-    let mut front: Vec<(u64, u64)> = Vec::new();
-    pareto_min_lshapes_within_w2_scratch(&mut items, key, &mut front);
-    items
-}
-
-/// [`pareto_min_lshapes_within_w2_by`] operating in place, with the
-/// staircase front borrowed from the caller (typically the `front`
-/// buffer of a [`crate::JoinScratch`]) so repeated prunes on the join
-/// hot path allocate nothing. Survivors are compacted to the head of
-/// `items` and left in canonical `(w2, w1 desc, h1, h2)` order.
-pub fn pareto_min_lshapes_within_w2_scratch<T>(
-    items: &mut Vec<T>,
-    key: impl Fn(&T) -> LShape,
-    front: &mut Vec<(u64, u64)>,
-) {
     // Sort groups together; within a group ascending w1 so that potential
     // dominators (smaller or equal w1) precede their victims.
     items.sort_by_key(|t| {
@@ -151,7 +136,7 @@ pub fn pareto_min_lshapes_within_w2_scratch<T>(
     });
     // Staircase of minimal (h1, h2) pairs for the current w2 group, sorted
     // by h1 ascending (h2 then strictly descending).
-    front.clear();
+    let mut front: Vec<(u64, u64)> = Vec::new();
     let mut current_w2: Option<u64> = None;
     let mut write = 0usize;
     for read in 0..items.len() {
@@ -186,6 +171,7 @@ pub fn pareto_min_lshapes_within_w2_scratch<T>(
         let l = key(t);
         (l.w2, core::cmp::Reverse(l.w1), l.h1, l.h2)
     });
+    items
 }
 
 /// Pass-1 survivor count above which [`prune_l_block`] answers its

@@ -30,7 +30,6 @@ use crate::prune::pareto_min_rects;
 /// assert_eq!(list.min_height_fitting_width(5), Some(Rect::new(4, 4)));
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RList {
     items: Vec<Rect>,
 }

@@ -36,11 +36,8 @@ pub struct JoinScratch {
     pub(crate) rects_a: Vec<Rect>,
     /// Rotated/reversed copy of the right child (Beside merges).
     pub(crate) rects_b: Vec<Rect>,
-    /// Lockstep candidates, pruned in place to the irreducible result.
+    /// Lockstep candidates: the irreducible merge result.
     pub(crate) combined: Vec<CombinedRect>,
-    /// Staircase front for the within-`w2` L-shape prune
-    /// ([`crate::prune::pareto_min_lshapes_within_w2_scratch`]).
-    pub front: Vec<(u64, u64)>,
     /// Buffers of the chain-structured L-block prune
     /// ([`crate::prune::prune_l_block`]) every wheel join ends in.
     pub lprune: crate::prune::LPruneScratch,

@@ -20,7 +20,6 @@ use crate::{wheel, CutDir, FloorplanTree, ModuleLibrary, NodeId, NodeKind};
 /// order: `choices[i]` indexes the implementation list of the module at the
 /// `i`-th leaf.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Assignment {
     /// Implementation indices, one per leaf.
     pub choices: Vec<usize>,

@@ -20,7 +20,6 @@ pub type ModuleId = usize;
 /// assert_eq!(m.implementations().len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Module {
     name: String,
     implementations: RList,
@@ -30,10 +29,6 @@ pub struct Module {
     /// for layout analytics and export. Empty for classic rect modules —
     /// and an empty list leaves serialization and fingerprints exactly
     /// as they were before staircases existed.
-    #[cfg_attr(
-        feature = "serde",
-        serde(default, skip_serializing_if = "Vec::is_empty")
-    )]
     staircases: Vec<Staircase>,
 }
 
@@ -139,7 +134,6 @@ impl fmt::Display for Module {
 /// A collection of modules indexed by [`ModuleId`] (the ids floorplan tree
 /// leaves reference).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModuleLibrary {
     modules: Vec<Module>,
 }

@@ -148,16 +148,6 @@ pub fn restructure(tree: &FloorplanTree) -> Result<BinaryTree, TreeError> {
     let mut out = BinaryTree {
         nodes: Vec::with_capacity(tree.len() * 2),
     };
-    if fp_shape::legacy::legacy_kernels() {
-        // Ablation baseline: the pre-SoA walk chases one child `Vec`
-        // allocation per node. Output is identical to the SoA walk.
-        tree.validate()?;
-        if tree.is_empty() {
-            return Ok(out);
-        }
-        build_ptr(tree, tree.root(), &mut out);
-        return Ok(out);
-    }
     // The SoA conversion performs the full validation, and the build walk
     // below then runs over the flat CSR arrays instead of chasing one
     // child `Vec` allocation per node — the difference is noise on FP1–4
@@ -168,64 +158,6 @@ pub fn restructure(tree: &FloorplanTree) -> Result<BinaryTree, TreeError> {
     }
     build(&soa, soa.root(), &mut out);
     Ok(out)
-}
-
-/// Pre-SoA pointer-chasing build, kept behind
-/// [`fp_shape::legacy::legacy_kernels`] as the mega-bench ablation
-/// baseline. Emits exactly the same node sequence as [`build`].
-fn build_ptr(tree: &FloorplanTree, root: NodeId, out: &mut BinaryTree) {
-    enum Task {
-        Visit(NodeId),
-        Emit(BinOp),
-    }
-    let mut tasks = vec![Task::Visit(root)];
-    let mut values: Vec<BinId> = Vec::new();
-    while let Some(task) = tasks.pop() {
-        match task {
-            Task::Emit(op) => {
-                let right = values.pop().expect("emit follows two visits");
-                let left = values.pop().expect("emit follows two visits");
-                out.nodes.push(BinNode::Join { op, left, right });
-                values.push(out.nodes.len() - 1);
-            }
-            Task::Visit(id) => {
-                let node = tree.node(id).expect("validated tree");
-                match &node.kind {
-                    NodeKind::Leaf(module) => {
-                        out.nodes.push(BinNode::Leaf {
-                            tree_leaf: id,
-                            module: *module,
-                        });
-                        values.push(out.nodes.len() - 1);
-                    }
-                    NodeKind::Slice(dir) => {
-                        let how = match dir {
-                            CutDir::Vertical => Compose::Beside,
-                            CutDir::Horizontal => Compose::Stack,
-                        };
-                        for &child in node.children[1..].iter().rev() {
-                            tasks.push(Task::Emit(BinOp::Slice(how)));
-                            tasks.push(Task::Visit(child));
-                        }
-                        tasks.push(Task::Visit(node.children[0]));
-                    }
-                    NodeKind::Wheel(_) => {
-                        let c = &node.children;
-                        tasks.push(Task::Emit(BinOp::WheelS4));
-                        tasks.push(Task::Visit(c[3]));
-                        tasks.push(Task::Emit(BinOp::WheelS3));
-                        tasks.push(Task::Visit(c[2]));
-                        tasks.push(Task::Emit(BinOp::WheelS2));
-                        tasks.push(Task::Visit(c[1]));
-                        tasks.push(Task::Emit(BinOp::WheelS1));
-                        tasks.push(Task::Visit(c[4]));
-                        tasks.push(Task::Visit(c[0]));
-                    }
-                }
-            }
-        }
-    }
-    debug_assert_eq!(values.len(), 1, "one value remains: the root");
 }
 
 /// Emits the binary nodes for the subtree at `root`, iteratively (an
@@ -428,19 +360,85 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// The pointer-chasing build [`build`] replaced, kept as an oracle:
+    /// it walks the node tree's child `Vec`s instead of the SoA arrays
+    /// and must emit exactly the same node sequence.
+    fn build_ptr(tree: &FloorplanTree, root: NodeId, out: &mut BinaryTree) {
+        enum Task {
+            Visit(NodeId),
+            Emit(BinOp),
+        }
+        let mut tasks = vec![Task::Visit(root)];
+        let mut values: Vec<BinId> = Vec::new();
+        while let Some(task) = tasks.pop() {
+            match task {
+                Task::Emit(op) => {
+                    let right = values.pop().expect("emit follows two visits");
+                    let left = values.pop().expect("emit follows two visits");
+                    out.nodes.push(BinNode::Join { op, left, right });
+                    values.push(out.nodes.len() - 1);
+                }
+                Task::Visit(id) => {
+                    let node = tree.node(id).expect("validated tree");
+                    match &node.kind {
+                        NodeKind::Leaf(module) => {
+                            out.nodes.push(BinNode::Leaf {
+                                tree_leaf: id,
+                                module: *module,
+                            });
+                            values.push(out.nodes.len() - 1);
+                        }
+                        NodeKind::Slice(dir) => {
+                            let how = match dir {
+                                CutDir::Vertical => Compose::Beside,
+                                CutDir::Horizontal => Compose::Stack,
+                            };
+                            for &child in node.children[1..].iter().rev() {
+                                tasks.push(Task::Emit(BinOp::Slice(how)));
+                                tasks.push(Task::Visit(child));
+                            }
+                            tasks.push(Task::Visit(node.children[0]));
+                        }
+                        NodeKind::Wheel(_) => {
+                            let c = &node.children;
+                            tasks.push(Task::Emit(BinOp::WheelS4));
+                            tasks.push(Task::Visit(c[3]));
+                            tasks.push(Task::Emit(BinOp::WheelS3));
+                            tasks.push(Task::Visit(c[2]));
+                            tasks.push(Task::Emit(BinOp::WheelS2));
+                            tasks.push(Task::Visit(c[1]));
+                            tasks.push(Task::Emit(BinOp::WheelS1));
+                            tasks.push(Task::Visit(c[4]));
+                            tasks.push(Task::Visit(c[0]));
+                        }
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(values.len(), 1, "one value remains: the root");
+    }
+
+    /// [`restructure`] through the pointer walk: validation, then
+    /// [`build_ptr`].
+    fn restructure_ptr(tree: &FloorplanTree) -> Result<BinaryTree, TreeError> {
+        tree.validate()?;
+        let mut out = BinaryTree {
+            nodes: Vec::with_capacity(tree.len() * 2),
+        };
+        if !tree.is_empty() {
+            build_ptr(tree, tree.root(), &mut out);
+        }
+        Ok(out)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// The legacy pointer-chasing restructure and the SoA walk emit
-        /// bit-identical binary join sequences — the fp-tree half of the
-        /// mega-bench ablation boundary.
+        /// The pointer-chasing restructure and the SoA walk emit
+        /// bit-identical binary join sequences.
         #[test]
         fn legacy_restructure_matches_soa(leaves in 2usize..40, seed in 0u64..1_000) {
             let bench = crate::generators::random_floorplan(leaves, 0.4, seed);
-            fp_shape::legacy::set_legacy_kernels(true);
-            let via_ptr = restructure(&bench.tree);
-            fp_shape::legacy::set_legacy_kernels(false);
-            let via_soa = restructure(&bench.tree);
-            match (via_ptr, via_soa) {
+            match (restructure_ptr(&bench.tree), restructure(&bench.tree)) {
                 (Ok(a), Ok(b)) => proptest::prop_assert_eq!(a.nodes(), b.nodes()),
                 (a, b) => proptest::prop_assert_eq!(a.err(), b.err()),
             }

@@ -9,7 +9,6 @@ pub type NodeId = usize;
 
 /// Direction of a slice cut line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CutDir {
     /// Horizontal cut lines: the children are stacked bottom-to-top.
     Horizontal,
@@ -30,7 +29,6 @@ impl CutDir {
 
 /// Chirality of a wheel (the order-5 non-slicing pattern).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Chirality {
     /// The clockwise pinwheel (arms spiral clockwise).
     #[default]
@@ -60,7 +58,6 @@ pub enum Chirality {
 /// axis; the child order keeps the same meaning (`A` the column touching
 /// the left or right edge after mirroring, etc.).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// A basic rectangle holding one module.
     Leaf(ModuleId),
@@ -72,7 +69,6 @@ pub enum NodeKind {
 
 /// One node of the floorplan tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// What the node is.
     pub kind: NodeKind,
@@ -171,7 +167,6 @@ impl std::error::Error for TreeError {}
 /// # Ok::<(), fp_tree::TreeError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FloorplanTree {
     nodes: Vec<Node>,
     root: NodeId,

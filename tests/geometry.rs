@@ -1,22 +1,19 @@
-//! Layout post-processing and staircase-equivalence suites.
+//! Layout post-processing and staircase-module suites.
 //!
-//! Two invariants pin the new geometry subsystem:
+//! Two invariants pin the geometry subsystem:
 //!
 //! * **Conservation** — polygonizing a realized layout is exact in
 //!   integer coordinates: whitespace total + Σ block areas == envelope
 //!   area, region areas sum to the total, and the report agrees with
 //!   the layout's own `dead_space()`. Checked on FP1–FP4, a mega smoke
 //!   instance, and a proptest sweep of random floorplans/assignments.
-//! * **Byte-identity** — staircases are a strict generalization: a
-//!   one-tooth staircase takes exactly the rectangle kernel's path and
-//!   a two-tooth staircase exactly the L-shape path, producing the
-//!   byte-identical irreducible fronts; pure-rect libraries keep their
-//!   fingerprints and frontiers unchanged across {1,2,4} threads ×
-//!   cached/uncached.
+//! * **Byte-identity** — staircase modules are packed by their bounding
+//!   boxes, so staircases whose bounding boxes the rect frontier already
+//!   holds change no frontier across {1,2,4} threads × cached/uncached,
+//!   and pure-rect libraries keep their fingerprints.
 
-use fp_geom::{LShape, Rect, Staircase};
+use fp_geom::{Rect, Staircase};
 use fp_optimizer::{OptimizeConfig, Optimizer, SharedBlockCache};
-use fp_shape::{LListSet, RList, SListSet};
 use fp_tree::fingerprint::module_fingerprint;
 use fp_tree::layout::{realize, Assignment, Layout};
 use fp_tree::{generators, mega, FloorplanTree, Module, ModuleLibrary, NodeKind};
@@ -129,88 +126,10 @@ proptest! {
     }
 }
 
-#[test]
-fn one_tooth_staircases_take_the_rect_path_byte_identically() {
-    let rects = vec![
-        Rect::new(8, 2),
-        Rect::new(6, 3),
-        Rect::new(4, 4),
-        Rect::new(2, 8),
-        Rect::new(9, 9), // dominated: both kernels must drop it
-        Rect::new(6, 3), // duplicate: both kernels must dedup it
-    ];
-    let set = SListSet::from_candidates(rects.iter().map(|&r| Staircase::from_rect(r)).collect());
-    assert_eq!(set.rects(), &RList::from_candidates(rects));
-    assert!(set.lshapes().is_empty());
-    assert!(set.stairs().is_empty());
-    // The staircase view round-trips: every survivor is still a rect.
-    for s in set.iter() {
-        assert_eq!(s.teeth(), 1);
-        assert!(s.as_rect().is_some());
-    }
-}
-
-#[test]
-fn two_tooth_staircases_take_the_lshape_path_byte_identically() {
-    let ls: Vec<LShape> = vec![
-        Staircase::new_canonical(vec![(9, 3), (3, 9)])
-            .as_lshape()
-            .expect("two teeth"),
-        Staircase::new_canonical(vec![(12, 2), (5, 6)])
-            .as_lshape()
-            .expect("two teeth"),
-        Staircase::new_canonical(vec![(10, 4), (4, 10)])
-            .as_lshape()
-            .expect("two teeth"),
-    ];
-    let set = SListSet::from_candidates(ls.iter().map(|&l| Staircase::from_lshape(l)).collect());
-    assert_eq!(set.lshapes(), &LListSet::from_candidates(ls));
-    assert!(set.rects().is_empty());
-    assert!(set.stairs().is_empty());
-    for s in set.iter() {
-        assert_eq!(s.teeth(), 2);
-        assert!(s.as_lshape().is_some());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Mixed candidate sets route every one-tooth staircase through the
-    /// rect kernel and every two-tooth staircase through the L kernel,
-    /// reproducing the strata the kernels compute directly.
-    #[test]
-    fn mixed_staircase_routing_matches_the_dedicated_kernels(
-        dims in proptest::collection::vec((1u64..30, 1u64..30), 1..12),
-    ) {
-        let rects: Vec<Rect> = dims.iter().map(|&(w, h)| Rect::new(w, h)).collect();
-        // Interleave rect staircases with L staircases derived from
-        // consecutive pairs (wider-lower + narrower-taller).
-        let mut stairs: Vec<Staircase> = rects.iter().map(|&r| Staircase::from_rect(r)).collect();
-        let mut ls = Vec::new();
-        for w in rects.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let (wide, tall) = (
-                Rect::new(a.w.max(b.w) + 1, a.h.min(b.h)),
-                Rect::new(a.w.min(b.w), a.h.max(b.h) + 1),
-            );
-            let corners = vec![(wide.w, wide.h), (tall.w, tall.h)];
-            let s = Staircase::new_canonical(corners);
-            if s.teeth() == 2 {
-                ls.push(s.as_lshape().expect("two teeth"));
-                stairs.push(s);
-            }
-        }
-        let set = SListSet::from_candidates(stairs);
-        prop_assert_eq!(set.rects(), &RList::from_candidates(rects));
-        prop_assert_eq!(set.lshapes(), &LListSet::from_candidates(ls));
-        prop_assert!(set.stairs().is_empty());
-    }
-}
-
 /// Attaching staircase geometry whose bounding boxes are already in the
 /// rectangular frontier changes neither the implementation list nor any
 /// optimization result — while pure-rect modules (no staircases) keep
-/// their fingerprints exactly as before the shape-API redesign.
+/// their fingerprints exactly as before staircases existed.
 #[test]
 fn redundant_staircases_leave_the_selection_path_untouched() {
     let bench = generators::fp1();
@@ -283,7 +202,7 @@ fn redundant_staircases_leave_the_selection_path_untouched() {
 /// staircases hashes exactly as it did before staircases existed, so
 /// every persisted cache address of a pure-rect/L library survives.
 #[test]
-fn pure_rect_fingerprints_are_stable_under_the_shape_api() {
+fn pure_rect_fingerprints_are_stable_when_staircases_exist() {
     let rects = vec![Rect::new(8, 2), Rect::new(4, 4), Rect::new(2, 8)];
     let classic = Module::new("m", rects.clone());
     let via_new_api = Module::with_staircases("m", rects.clone(), Vec::new());

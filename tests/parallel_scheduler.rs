@@ -366,30 +366,6 @@ fn mega_instance_thread_sweep_is_bit_identical() {
     }
 }
 
-/// The pre-SoA pruning kernels (the mega-bench ablation baseline) solve
-/// the mega instance to the exact same frontier as the current layout —
-/// the optimizer half of the ablation boundary.
-#[test]
-fn legacy_kernels_match_current_on_mega() {
-    use fp_tree::mega::{mega_floorplan, mega_library, MegaConfig};
-    let cfg = MegaConfig::new(1_500).with_seed(9);
-    let bench = mega_floorplan(&cfg);
-    let lib = mega_library(&bench.tree, &cfg);
-    let config = OptimizeConfig::default().with_threads(1);
-    let current = optimize_frontier(&bench.tree, &lib, &config).expect("current kernels solve");
-    fp_shape::legacy::set_legacy_kernels(true);
-    let legacy = optimize_frontier(&bench.tree, &lib, &config);
-    fp_shape::legacy::set_legacy_kernels(false);
-    let legacy = legacy.expect("legacy kernels solve");
-    assert_eq!(current.envelopes(), legacy.envelopes(), "frontier");
-    assert_stats_identical(current.stats(), legacy.stats(), "legacy kernels");
-    assert_eq!(
-        current.outcome(0).assignment,
-        legacy.outcome(0).assignment,
-        "assignment"
-    );
-}
-
 /// `threads: 0` resolves to the machine's available parallelism and
 /// still matches the serial result.
 #[test]
