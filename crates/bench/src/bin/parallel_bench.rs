@@ -14,9 +14,13 @@
 //! * **cold** — no block cache: every join is built by the scheduler;
 //! * **warm** — a pre-primed shared cache: every join reconstitutes.
 //!
-//! Timings are the best of [`REPS`] repetitions. Every run's area and
-//! frontier must agree with the single-threaded baseline — the bench
-//! doubles as a determinism gate at paper and mega granularity.
+//! Timings are the best of [`REPS`] repetitions. The repetitions are
+//! interleaved: each one times every thread count once, starting one
+//! thread count later than the last, so a slow host phase that lasts
+//! tens of seconds spreads over every column instead of landing on one.
+//! Every run's area and frontier must agree with the single-threaded
+//! baseline — the bench doubles as a determinism gate at paper and mega
+//! granularity.
 //!
 //! The rows are FP1–FP4 (`n = 8`), then FP5-10k and FP6-50k; `--all`
 //! adds FP7-150k and FP8-500k (long). The headline gate applies to the
@@ -52,8 +56,8 @@ struct Cell {
     threads: usize,
     cold_millis: f64,
     warm_millis: f64,
-    /// Process peak RSS after this cell (monotone high-water mark; see
-    /// [`fp_bench::host::peak_rss_bytes`]).
+    /// Process peak RSS after this cell's last run (monotone high-water
+    /// mark; see [`fp_bench::host::peak_rss_bytes`]).
     peak_rss_bytes: u64,
 }
 
@@ -63,14 +67,6 @@ struct BenchRow {
     nodes: usize,
     area: u128,
     cells: Vec<Cell>,
-}
-
-fn time_best<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        best = best.min(run());
-    }
-    best
 }
 
 fn run_bench(
@@ -87,52 +83,62 @@ fn run_bench(
         .expect("baseline solves");
     let area = baseline.outcome(0).area;
 
-    let mut cells = Vec::new();
+    // Prime a fresh cache at every thread count; each must reproduce the
+    // baseline. The blocks a run commits do not depend on its thread
+    // count, so the first primed cache serves every warm run.
+    let mut warm_cache = None;
     for &threads in sweep {
-        let config = OptimizeConfig::default().with_threads(threads);
+        let cache = SharedBlockCache::new(CACHE_BYTES);
+        let primed = Optimizer::new(tree, library)
+            .config(&OptimizeConfig::default().with_threads(threads))
+            .cache(&cache)
+            .run_frontier()
+            .expect("priming run solves");
+        assert_eq!(primed.envelopes(), baseline.envelopes());
+        warm_cache.get_or_insert(cache);
+    }
+    let warm_cache = warm_cache.expect("the sweep has a thread count");
 
-        let cold_millis = time_best(reps, || {
+    let mut cells: Vec<Cell> = sweep
+        .iter()
+        .map(|&threads| Cell {
+            threads,
+            cold_millis: f64::INFINITY,
+            warm_millis: f64::INFINITY,
+            peak_rss_bytes: 0,
+        })
+        .collect();
+    for rep in 0..reps {
+        for k in 0..sweep.len() {
+            let at = (rep + k) % sweep.len();
+            let cell = &mut cells[at];
+            let threads = cell.threads;
+            let config = OptimizeConfig::default().with_threads(threads);
+
             let start = Instant::now();
             let frontier = Optimizer::new(tree, library)
                 .config(&config)
                 .run_frontier()
                 .expect("cold run solves");
-            let millis = start.elapsed().as_secs_f64() * 1e3;
+            cell.cold_millis = cell.cold_millis.min(start.elapsed().as_secs_f64() * 1e3);
             assert_eq!(
                 frontier.envelopes(),
                 baseline.envelopes(),
                 "{name} @{threads}: frontier diverged from the serial baseline"
             );
-            millis
-        });
 
-        // Prime a cache at this thread count, then time fully warm runs.
-        let cache = SharedBlockCache::new(CACHE_BYTES);
-        let primed = Optimizer::new(tree, library)
-            .config(&config)
-            .cache(&cache)
-            .run_frontier()
-            .expect("priming run solves");
-        assert_eq!(primed.envelopes(), baseline.envelopes());
-        let warm_millis = time_best(reps, || {
             let start = Instant::now();
             let frontier = Optimizer::new(tree, library)
                 .config(&config)
-                .cache(&cache)
+                .cache(&warm_cache)
                 .run_frontier()
                 .expect("warm run solves");
-            let millis = start.elapsed().as_secs_f64() * 1e3;
+            cell.warm_millis = cell.warm_millis.min(start.elapsed().as_secs_f64() * 1e3);
             assert_eq!(frontier.stats().cache_misses, 0, "{name}: warm run missed");
             assert_eq!(frontier.envelopes(), baseline.envelopes());
-            millis
-        });
 
-        cells.push(Cell {
-            threads,
-            cold_millis,
-            warm_millis,
-            peak_rss_bytes: fp_bench::host::peak_rss_bytes(),
-        });
+            cell.peak_rss_bytes = fp_bench::host::peak_rss_bytes();
+        }
     }
 
     BenchRow {

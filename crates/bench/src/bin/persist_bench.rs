@@ -198,7 +198,7 @@ fn run_bench(records: usize, payload_bytes: usize, reps: usize) -> BenchResult {
         let start = Instant::now();
         let mut hits = 0usize;
         for i in 0..records as u64 {
-            let value = cache.get(&key(i)).expect("replayed key hits");
+            let value = cache.get(&key(i), Clone::clone).expect("replayed key hits");
             assert_eq!(
                 value,
                 Blob::synthesize(i, payload_bytes),

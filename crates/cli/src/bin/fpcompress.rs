@@ -271,7 +271,7 @@ fn compress(
     if let Some(cache) = cache.as_mut() {
         for (i, (selection, key)) in selections.iter_mut().zip(&keys).enumerate() {
             if let Some(key) = key {
-                if let Some(hit) = cache.get(key) {
+                if let Some(hit) = cache.get(key, Clone::clone) {
                     tracer.emit(
                         0,
                         TraceEvent::CacheHit {

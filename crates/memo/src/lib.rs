@@ -427,14 +427,12 @@ impl<V: Weigh> ShardedMemoCache<V> {
         &self.shards[idx as usize]
     }
 
-    /// Looks up `key`, cloning the value out under the shard lock and
-    /// bumping its recency on a hit.
-    #[must_use]
-    pub fn get(&self, key: &Fingerprint) -> Option<V>
-    where
-        V: Clone,
-    {
-        lock_recovering(self.shard(key)).get(key).cloned()
+    /// Looks up `key` and, on a hit, bumps its recency and lends the
+    /// value to `read` under the shard lock, returning what `read`
+    /// returns. Pass `Clone::clone` for an owned copy; a caller that only
+    /// needs to copy parts of the value out reads them in place.
+    pub fn get<R>(&self, key: &Fingerprint, read: impl FnOnce(&V) -> R) -> Option<R> {
+        lock_recovering(self.shard(key)).get(key).map(read)
     }
 
     /// Stores `value` under `key` in its shard, evicting that shard's
@@ -679,9 +677,9 @@ mod tests {
         }
         assert_eq!(cache.len(), 64);
         for k in 0..64u128 {
-            assert!(cache.get(&(k << 64)).is_some());
+            assert!(cache.get(&(k << 64), Clone::clone).is_some());
         }
-        assert!(cache.get(&(999u128 << 64)).is_none());
+        assert!(cache.get(&(999u128 << 64), Clone::clone).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (64, 1, 64));
         cache.clear();

@@ -749,11 +749,11 @@ impl<V: Weigh> PersistentCache<V> {
     }
 }
 
-impl<V: Weigh + Clone> PersistentCache<V> {
-    /// Looks up `key` in memory, bumping its recency on a hit.
-    #[must_use]
-    pub fn get(&self, key: &Fingerprint) -> Option<V> {
-        self.mem.get(key)
+impl<V: Weigh> PersistentCache<V> {
+    /// Looks up `key` in memory and, on a hit, bumps its recency and
+    /// lends the value to `read` (see [`ShardedMemoCache::get`]).
+    pub fn get<R>(&self, key: &Fingerprint, read: impl FnOnce(&V) -> R) -> Option<R> {
+        self.mem.get(key, read)
     }
 }
 

@@ -52,7 +52,7 @@ fn shard_hammering_keeps_exact_counter_totals() {
                         cache.insert(key, blob());
                         stores.fetch_add(1, Ordering::Relaxed);
                     } else {
-                        let _ = cache.get(&key);
+                        let _ = cache.get(&key, Clone::clone);
                         lookups.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -98,7 +98,7 @@ fn single_shard_churn_stays_consistent() {
                         cache.insert(key, blob());
                         stores.fetch_add(1, Ordering::Relaxed);
                     } else {
-                        let _ = cache.get(&key);
+                        let _ = cache.get(&key, Clone::clone);
                     }
                 }
             });
@@ -142,12 +142,12 @@ fn poisoned_shard_recovers_with_stats_intact() {
 
     // The shard keeps serving: the pre-panic entry is still a hit...
     assert!(
-        cache.get(&survivor).is_some(),
+        cache.get(&survivor, Clone::clone).is_some(),
         "pre-panic entry must survive a poisoned shard"
     );
     // ...new inserts land...
     cache.insert(victim, Blob(vec![2u8; 16]));
-    assert!(cache.get(&victim).is_some());
+    assert!(cache.get(&victim, Clone::clone).is_some());
     // ...and counters stay exact, not zeroed-out for the shard. The
     // panicking get_or_insert_with accounted its lookup as a miss
     // before the closure ran.
@@ -178,7 +178,7 @@ fn concurrent_reads_always_see_whole_values() {
                     // show a mix.
                     let fill = ((t * 31 + i) % 251) as u8;
                     cache.insert(key, Blob(vec![fill; 48]));
-                    if let Some(got) = cache.get(&key) {
+                    if let Some(got) = cache.get(&key, Clone::clone) {
                         let first = got.0.first().copied().unwrap_or(0);
                         assert!(
                             got.0.iter().all(|&b| b == first),

@@ -81,12 +81,16 @@ fn assert_recovers_prefix(dir: &Path, expect_prefix: u64) {
     );
     for i in 0..expect_prefix {
         let (k, v) = entry(i);
-        assert_eq!(cache.get(&k), Some(v), "prefix entry {i} byte-identical");
+        assert_eq!(
+            cache.get(&k, Clone::clone),
+            Some(v),
+            "prefix entry {i} byte-identical"
+        );
     }
     for i in expect_prefix..ENTRIES {
         let (k, _) = entry(i);
         assert!(
-            cache.get(&k).is_none(),
+            cache.get(&k, Clone::clone).is_none(),
             "entry {i} past the tear never hits"
         );
     }
@@ -94,7 +98,7 @@ fn assert_recovers_prefix(dir: &Path, expect_prefix: u64) {
     let (k, v) = entry(1000 + expect_prefix);
     cache.insert(k, v.clone());
     cache.flush().expect("post-recovery flush");
-    assert_eq!(cache.get(&k), Some(v));
+    assert_eq!(cache.get(&k, Clone::clone), Some(v));
 }
 
 #[test]
@@ -204,7 +208,7 @@ fn wrong_salt_and_future_version_cold_start_without_panic() {
         assert_eq!(cache.recovery().recovered_entries, 0);
         assert!(cache.recovery().foreign_salt_segments > 0);
         for i in 0..ENTRIES {
-            assert!(cache.get(&entry(i).0).is_none());
+            assert!(cache.get(&entry(i).0, Clone::clone).is_none());
         }
     }
     for f in std::fs::read_dir(&dir).expect("read dir").flatten() {
@@ -224,7 +228,7 @@ fn wrong_salt_and_future_version_cold_start_without_panic() {
         assert_eq!(cache.recovery().recovered_entries, 0);
         assert_eq!(cache.recovery().future_version_segments, 1);
         for i in 0..ENTRIES {
-            assert!(cache.get(&entry(i).0).is_none());
+            assert!(cache.get(&entry(i).0, Clone::clone).is_none());
         }
         cache.insert(entry(7).0, entry(7).1);
         cache
@@ -268,7 +272,7 @@ fn garbage_and_empty_files_never_panic_recovery() {
         let (k, v) = entry(3);
         cache.insert(k, v.clone());
         cache.flush().expect("flush");
-        assert_eq!(cache.get(&k), Some(v));
+        assert_eq!(cache.get(&k, Clone::clone), Some(v));
         drop(cache);
         let _ = std::fs::remove_dir_all(&dir);
     }

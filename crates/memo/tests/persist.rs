@@ -68,7 +68,11 @@ fn warm_restart_replays_everything_flushed() {
     assert_eq!(report.truncated_segments, 0);
     for i in 0..32 {
         let (k, v) = entry(i);
-        assert_eq!(cache.get(&k), Some(v), "entry {i} must survive restart");
+        assert_eq!(
+            cache.get(&k, Clone::clone),
+            Some(v),
+            "entry {i} must survive restart"
+        );
     }
     // Hits above, plus replay insertions, are all accounted.
     assert_eq!(cache.stats().hits, 32);
@@ -83,7 +87,7 @@ fn in_memory_mode_unifies_the_api() {
     assert!(cache.persist_stats().is_none());
     let (k, v) = entry(1);
     cache.insert(k, v.clone());
-    assert_eq!(cache.get(&k), Some(v));
+    assert_eq!(cache.get(&k, Clone::clone), Some(v));
     cache.flush().expect("flush is a no-op in memory");
     assert!(cache.recovery().is_cold());
 }
@@ -120,7 +124,7 @@ fn rotation_seals_segments_and_preserves_content() {
     assert_eq!(cache.recovery().recovered_entries, 64);
     for i in 0..64 {
         let (k, v) = entry(i);
-        assert_eq!(cache.get(&k), Some(v));
+        assert_eq!(cache.get(&k, Clone::clone), Some(v));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -162,7 +166,9 @@ fn compaction_bounds_disk_and_keeps_live_entries() {
         PersistentCache::open(&dir, 1 << 20, SALT, options).expect("reopen");
     for i in 0..8 {
         let (k, _) = entry(i);
-        let got = cache.get(&k).expect("live key survives compaction");
+        let got = cache
+            .get(&k, Clone::clone)
+            .expect("live key survives compaction");
         assert_eq!(got.0, vec![15u8; 40], "latest write wins");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -191,7 +197,10 @@ fn wrong_salt_is_a_cold_start_never_stale_bytes() {
         assert!(report.foreign_salt_segments > 0);
         for i in 0..8 {
             let (k, _) = entry(i);
-            assert!(cache.get(&k).is_none(), "stale policy bytes must not hit");
+            assert!(
+                cache.get(&k, Clone::clone).is_none(),
+                "stale policy bytes must not hit"
+            );
         }
         // The store is fully usable under the new salt.
         let (k, v) = entry(100);
@@ -203,7 +212,7 @@ fn wrong_salt_is_a_cold_start_never_stale_bytes() {
     let cache: PersistentCache<Blob> =
         PersistentCache::open(&dir, 1 << 20, SALT, PersistOptions::default()).expect("reopen");
     let (k100, _) = entry(100);
-    assert!(cache.get(&k100).is_none());
+    assert!(cache.get(&k100, Clone::clone).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -274,11 +283,11 @@ fn enospc_wedges_the_writer_but_memory_keeps_serving() {
     // In-memory service is unaffected — the cache is an accelerator.
     for i in 0..16 {
         let (k, v) = entry(i);
-        assert_eq!(cache.get(&k), Some(v));
+        assert_eq!(cache.get(&k, Clone::clone), Some(v));
     }
     let (k, v) = entry(99);
     cache.insert(k, v.clone());
-    assert_eq!(cache.get(&k), Some(v));
+    assert_eq!(cache.get(&k, Clone::clone), Some(v));
     assert!(
         cache.persist_stats().expect("persistent").dropped_records > 0,
         "post-wedge inserts are counted as dropped, not lost silently"
@@ -294,7 +303,10 @@ fn enospc_wedges_the_writer_but_memory_keeps_serving() {
         .map(|(k, v)| (*k, v.to_vec()))
     {
         assert_eq!(
-            reopened.get(&key).expect("scanned record is served").0,
+            reopened
+                .get(&key, Clone::clone)
+                .expect("scanned record is served")
+                .0,
             value,
             "recovered bytes identical to what was logged"
         );
@@ -333,14 +345,14 @@ fn short_write_leaves_a_recoverable_verified_prefix() {
     assert!(report.recovered_entries < 8);
     for i in 0..report.recovered_entries as u64 {
         assert_eq!(
-            cache.get(&entry(i).0),
+            cache.get(&entry(i).0, Clone::clone),
             Some(Blob(vec![i as u8; 16])),
             "prefix entry {i} byte-identical"
         );
     }
     for i in report.recovered_entries as u64..8 {
         assert!(
-            cache.get(&entry(i).0).is_none(),
+            cache.get(&entry(i).0, Clone::clone).is_none(),
             "torn entries never served"
         );
     }

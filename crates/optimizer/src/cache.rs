@@ -353,8 +353,11 @@ impl Codec for CachedBlock {
 /// block for future runs. Implementations take `&self` so one cache can
 /// be shared by concurrently optimizing threads (the `fpserved` workers).
 pub trait BlockCache {
-    /// The cached block at `key`, if any (a hit must bump recency).
-    fn lookup(&self, key: Fingerprint) -> Option<CachedBlock>;
+    /// Lends the cached block at `key`, if any, to `visit` and returns
+    /// whether there was one (a hit must bump recency). The entry is
+    /// borrowed for the duration of the call, so a hit copies the lists
+    /// straight into the run that reads them, without an owned clone.
+    fn lookup(&self, key: Fingerprint, visit: &mut dyn FnMut(&CachedBlock)) -> bool;
     /// Stores a committed block under `key`.
     fn store(&self, key: Fingerprint, value: CachedBlock);
     /// Lifetime counters, when the implementation tracks them. The
@@ -539,10 +542,10 @@ pub fn shared_cache_stats(cache: &SharedBlockCache) -> CacheStats {
 }
 
 impl BlockCache for SharedBlockCache {
-    fn lookup(&self, key: Fingerprint) -> Option<CachedBlock> {
+    fn lookup(&self, key: Fingerprint, visit: &mut dyn FnMut(&CachedBlock)) -> bool {
         // A poisoned shard (a worker panicked mid-access) degrades to a
         // cache miss inside `ShardedMemoCache` rather than panicking.
-        self.inner.get(&key)
+        self.inner.get(&key, visit).is_some()
     }
 
     fn store(&self, key: Fingerprint, value: CachedBlock) {
@@ -821,9 +824,15 @@ mod tests {
             },
             degradations: Vec::new(),
         };
-        assert!(cache.lookup(7).is_none());
+        // An owned copy of what `lookup` lends out.
+        let cloned = |key| {
+            let mut out = None;
+            cache.lookup(key, &mut |hit| out = Some(hit.clone()));
+            out
+        };
+        assert!(cloned(7).is_none());
         cache.store(7, block.clone());
-        assert_eq!(cache.lookup(7), Some(block));
+        assert_eq!(cloned(7), Some(block));
         let stats = shared_cache_stats(&cache);
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
     }

@@ -1065,15 +1065,22 @@ pub(crate) fn serial_frontier(
                 // cached implementations are as live as built ones).
                 if caching && matches!(node, BinNode::Join { .. }) {
                     if let (Some(cache), Some(fp)) = (cache, node_fp) {
-                        if let Some(hit) = cache.lookup(fp) {
-                            gov.charge(hit.len())?;
-                            stats.cache_hits += 1;
-                            tc.emit(TraceEvent::CacheHit {
-                                node: index as u32,
-                                len: hit.len() as u32,
-                            });
-                            stats.degradations.extend(hit.degradations.iter().cloned());
-                            return cols.push_cached(hit.shapes);
+                        // A hit copies the cached lists straight out of
+                        // the entry the cache lends.
+                        let mut reconstituted = None;
+                        cache.lookup(fp, &mut |hit| {
+                            reconstituted = Some(gov.charge(hit.len()).and_then(|()| {
+                                stats.cache_hits += 1;
+                                tc.emit(TraceEvent::CacheHit {
+                                    node: index as u32,
+                                    len: hit.len() as u32,
+                                });
+                                stats.degradations.extend(hit.degradations.iter().cloned());
+                                cols.push_cached(&hit.shapes)
+                            }));
+                        });
+                        if let Some(block) = reconstituted {
+                            return block;
                         }
                         stats.cache_misses += 1;
                         tc.emit(TraceEvent::CacheMiss { node: index as u32 });
@@ -2182,16 +2189,22 @@ mod tests {
     struct ScrambledChains(crate::cache::SharedBlockCache);
 
     impl BlockCache for ScrambledChains {
-        fn lookup(&self, key: fp_memo::Fingerprint) -> Option<crate::cache::CachedBlock> {
-            let mut block = self.0.lookup(key)?;
-            if let crate::cache::CachedShapes::L { shapes, chains, .. } = &mut block.shapes {
-                for &(s, e) in chains.iter() {
-                    if e - s >= 2 {
-                        shapes.swap(s as usize, s as usize + 1);
+        fn lookup(
+            &self,
+            key: fp_memo::Fingerprint,
+            visit: &mut dyn FnMut(&crate::cache::CachedBlock),
+        ) -> bool {
+            self.0.lookup(key, &mut |hit| {
+                let mut block = hit.clone();
+                if let crate::cache::CachedShapes::L { shapes, chains, .. } = &mut block.shapes {
+                    for &(s, e) in chains.iter() {
+                        if e - s >= 2 {
+                            shapes.swap(s as usize, s as usize + 1);
+                        }
                     }
                 }
-            }
-            Some(block)
+                visit(&block);
+            })
         }
 
         fn store(&self, key: fp_memo::Fingerprint, value: crate::cache::CachedBlock) {

@@ -767,23 +767,28 @@ fn build_node(
             let mut hit = None;
             if let (Some(cache), Some(fp)) = (ctx.cache, fp) {
                 acc.looked_up = true;
-                if let Some(found) = cache.lookup(fp) {
-                    gov.charge(found.len())?;
-                    acc.initial_hit = true;
-                    tc.emit(TraceEvent::CacheHit {
-                        node: index as u32,
-                        len: found.len() as u32,
-                    });
-                    if !found.degradations.is_empty() {
-                        out.hit_degradations.push((index, found.degradations));
-                    }
-                    hit = Some(found.shapes);
-                } else {
+                // A hit copies the cached lists straight out of the entry
+                // the cache lends.
+                cache.lookup(fp, &mut |found| {
+                    hit = Some(gov.charge(found.len()).and_then(|()| {
+                        acc.initial_hit = true;
+                        tc.emit(TraceEvent::CacheHit {
+                            node: index as u32,
+                            len: found.len() as u32,
+                        });
+                        if !found.degradations.is_empty() {
+                            out.hit_degradations
+                                .push((index, found.degradations.clone()));
+                        }
+                        out.cols.push_cached(&found.shapes)
+                    }));
+                });
+                if hit.is_none() {
                     tc.emit(TraceEvent::CacheMiss { node: index as u32 });
                 }
             }
             match hit {
-                Some(shapes) => out.cols.push_cached(shapes)?,
+                Some(block) => block?,
                 None => {
                     let (Some(left), Some(right)) =
                         (operand(ctx, out, *left), operand(ctx, out, *right))

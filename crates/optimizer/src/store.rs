@@ -272,19 +272,22 @@ impl Columns {
     /// R-list staircase, and L-blocks made of Definition 3 chains that
     /// cover the block in order (the wheel kernels and the L-block prune
     /// assume that structure).
-    pub(crate) fn push_cached(&mut self, shapes: CachedShapes) -> Result<Block, Trip> {
+    pub(crate) fn push_cached(&mut self, shapes: &CachedShapes) -> Result<Block, Trip> {
         match shapes {
             CachedShapes::Rect { rects, prov } => {
-                let list = RList::from_sorted(rects)
-                    .map_err(|_| Trip::Internal("cached rectangular block is not a staircase"))?;
-                if prov.len() != list.len() {
+                if !RList::is_staircase(rects) {
+                    return Err(Trip::Internal(
+                        "cached rectangular block is not a staircase",
+                    ));
+                }
+                if prov.len() != rects.len() {
                     return Err(Trip::Internal("cached block provenance arity mismatch"));
                 }
                 Ok(Block {
                     seg: self.seg,
                     kind: Kind::Rect,
-                    shapes: append(&mut self.rects, list.as_slice())?,
-                    prov: append(&mut self.prov, &prov)?,
+                    shapes: append(&mut self.rects, rects)?,
+                    prov: append(&mut self.prov, prov)?,
                     chains: Span::default(),
                 })
             }
@@ -293,7 +296,7 @@ impl Columns {
                 prov,
                 chains,
             } => {
-                if !fp_shape::prune::is_chain_block(&shapes, &chains) {
+                if !fp_shape::prune::is_chain_block(shapes, chains) {
                     return Err(Trip::Internal(
                         "cached L-shaped block is not made of Definition 3 chains",
                     ));
@@ -304,9 +307,9 @@ impl Columns {
                 Ok(Block {
                     seg: self.seg,
                     kind: Kind::L,
-                    shapes: append(&mut self.lshapes, &shapes)?,
-                    prov: append(&mut self.prov, &prov)?,
-                    chains: append(&mut self.chains, &chains)?,
+                    shapes: append(&mut self.lshapes, shapes)?,
+                    prov: append(&mut self.prov, prov)?,
+                    chains: append(&mut self.chains, chains)?,
                 })
             }
         }

@@ -59,12 +59,18 @@ impl RList {
     /// Returns the vector back if it is not sorted with strictly decreasing
     /// widths and strictly increasing heights.
     pub fn from_sorted(items: Vec<Rect>) -> Result<Self, Vec<Rect>> {
-        let ok = items.windows(2).all(|w| w[0].w > w[1].w && w[0].h < w[1].h);
-        if ok {
+        if RList::is_staircase(&items) {
             Ok(RList { items })
         } else {
             Err(items)
         }
+    }
+
+    /// Whether `items` is an irreducible R-list as it stands: strictly
+    /// decreasing widths and strictly increasing heights.
+    #[must_use]
+    pub fn is_staircase(items: &[Rect]) -> bool {
+        items.windows(2).all(|w| w[0].w > w[1].w && w[0].h < w[1].h)
     }
 
     /// Number of implementations.
