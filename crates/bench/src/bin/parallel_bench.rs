@@ -56,8 +56,12 @@ struct Cell {
     threads: usize,
     cold_millis: f64,
     warm_millis: f64,
-    /// Process peak RSS after this cell's last run (monotone high-water
-    /// mark; see [`fp_bench::host::peak_rss_bytes`]).
+    /// Process peak RSS when this cell's last repetition finished: the
+    /// largest [`fp_bench::host::peak_rss_bytes`] reading so far, so the
+    /// readings are monotone in time even where the kernel's are not.
+    /// The repetitions rotate, so a row's cells finish their last
+    /// repetition in rotated order, not left to right: with 3 reps over
+    /// 1/2/4/8 threads the 4- and 8-thread cells are read first.
     peak_rss_bytes: u64,
 }
 
@@ -75,6 +79,7 @@ fn run_bench(
     library: &ModuleLibrary,
     sweep: &[usize],
     reps: usize,
+    rss_high: &mut u64,
 ) -> BenchRow {
     // Single-threaded baseline pins the expected result.
     let baseline = Optimizer::new(tree, library)
@@ -137,7 +142,8 @@ fn run_bench(
             assert_eq!(frontier.stats().cache_misses, 0, "{name}: warm run missed");
             assert_eq!(frontier.envelopes(), baseline.envelopes());
 
-            cell.peak_rss_bytes = fp_bench::host::peak_rss_bytes();
+            *rss_high = (*rss_high).max(fp_bench::host::peak_rss_bytes());
+            cell.peak_rss_bytes = *rss_high;
         }
     }
 
@@ -200,11 +206,20 @@ fn main() {
             .collect()
     };
 
+    // The running maximum of the peak-RSS readings, over the whole sweep.
+    let mut rss_high = 0;
     let mut rows = Vec::new();
     for (name, bench) in &papers {
         eprintln!("parallel_bench: running {name} (n = {n}, sweep {sweep:?}) ...");
         let library = generators::module_library(&bench.tree, n, 7);
-        rows.push(run_bench(name, &bench.tree, &library, sweep, reps));
+        rows.push(run_bench(
+            name,
+            &bench.tree,
+            &library,
+            sweep,
+            reps,
+            &mut rss_high,
+        ));
     }
     for (name, cfg) in &megas {
         eprintln!(
@@ -213,7 +228,14 @@ fn main() {
         );
         let bench = mega::mega_floorplan(cfg);
         let library = mega::mega_library(&bench.tree, cfg);
-        rows.push(run_bench(name, &bench.tree, &library, sweep, reps));
+        rows.push(run_bench(
+            name,
+            &bench.tree,
+            &library,
+            sweep,
+            reps,
+            &mut rss_high,
+        ));
     }
 
     let mut entries = Vec::new();

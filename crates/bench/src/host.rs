@@ -12,9 +12,17 @@ pub fn cores() -> usize {
 /// line of `/proc/self/status`. Returns 0 on platforms without that
 /// interface — consumers treat 0 as "unknown", never as "no memory".
 ///
-/// The kernel reports a process-wide high-water mark, so per-cell
-/// readings taken over a run are monotone: each cell's value is the
-/// peak *up to and including* that cell, not the cell's own footprint.
+/// The kernel reports a process-wide high-water mark: a reading is the
+/// peak *up to* that moment, not the footprint of whatever ran last.
+/// One reading can still be a little lower than an earlier one. Linux
+/// prints `VmHWM` as the larger of the current RSS and a recorded mark
+/// that it refreshes only when RSS is about to fall, from per-CPU
+/// batched counters that can lag the exact count by a batch of pages
+/// per CPU. A reading taken at the peak can therefore exceed every
+/// later one: on the 2-vCPU host, readings taken after two threads
+/// freed their memory fell up to 252 KiB below one taken while they
+/// held it. Callers that need a monotone series keep the running
+/// maximum of their readings.
 #[must_use]
 pub fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {

@@ -837,18 +837,18 @@ fn main() -> ExitCode {
 
     if args.profile {
         // Echo the tree-aware scheduling resolution so "why didn't it
-        // parallelize?" is visible next to the phase tree.
-        let auto = config.auto_serial_for(instance.tree.module_count());
+        // parallelize?" is visible next to the phase tree, and the task
+        // size the pool cuts the tree with when it does.
+        let modules = instance.tree.module_count();
         let eff = config.resolve_for(&instance.tree);
-        eprintln!(
-            "scheduling: {} thread(s){}",
-            eff.threads,
-            if auto {
-                " — auto-serial (tree below the split threshold)"
-            } else {
-                ""
-            }
-        );
+        let how = if config.auto_serial_for(modules) {
+            " — auto-serial (tree below the split threshold)".to_owned()
+        } else if eff.threads > 1 {
+            format!(", task size {} nodes", config.task_size_for(modules))
+        } else {
+            String::new()
+        };
+        eprintln!("scheduling: {} thread(s){how}", eff.threads);
     }
 
     let cache = match &args.cache_file {

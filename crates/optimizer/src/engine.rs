@@ -142,13 +142,16 @@ pub struct OptimizeConfig {
     /// would trip a resource limit is transparently re-run serially).
     /// Defaults to the `FP_THREADS` environment variable, else `1`.
     pub threads: usize,
-    /// Scheduler split granularity, in restructured binary-tree nodes.
-    /// Subtrees smaller than this run inline as one serial task instead
-    /// of being split into per-node tasks, and whole trees smaller than
-    /// [`OptimizeConfig::AUTO_SERIAL_FACTOR`] times this threshold skip
-    /// the worker pool entirely (auto-serial) even when `threads > 1`.
-    /// `0` disables both heuristics: per-node scheduling, never
-    /// auto-serial (testing aid — results are identical either way).
+    /// Scheduler split granularity, in restructured binary-tree nodes:
+    /// the floor of the task size. Subtrees smaller than the task size
+    /// ([`OptimizeConfig::task_size_for`], this threshold or a share of
+    /// the tree, whichever is larger) run inline as one serial task
+    /// instead of being split into per-node tasks, and whole trees
+    /// smaller than [`OptimizeConfig::AUTO_SERIAL_FACTOR`] times this
+    /// threshold skip the worker pool entirely (auto-serial) even when
+    /// `threads > 1`. `0` disables both heuristics: per-node scheduling,
+    /// never auto-serial (testing aid — results are identical either
+    /// way).
     pub split_threshold: usize,
     /// Extra salt folded into the cache's policy fingerprint. `0` (the
     /// default) leaves the fingerprint byte-identical to earlier
@@ -165,10 +168,19 @@ impl OptimizeConfig {
     /// The default cross-chain pruning threshold.
     pub const DEFAULT_GLOBAL_L_PRUNE: usize = 50_000;
 
-    /// The default scheduler split granularity (binary-tree nodes per
-    /// inline task). Calibrated so a stolen task amortizes its queue
-    /// round-trip over a few hundred joins rather than one.
+    /// The default scheduler split granularity: the smallest task size,
+    /// in binary-tree nodes. It holds on trees too small for
+    /// [`OptimizeConfig::TASKS_PER_THREAD`] to cut coarser, so a stolen
+    /// task amortizes its queue round-trip over a few hundred joins
+    /// rather than one.
     pub const DEFAULT_SPLIT_THRESHOLD: usize = 256;
+
+    /// How many inline tasks per worker the scheduler cuts a large tree
+    /// into (see [`OptimizeConfig::task_size_for`]). The paper keeps
+    /// every list small, so joins average a microsecond or two and a
+    /// fixed cost per task adds up: a few hundred tasks leave enough to
+    /// steal, while thousands make that cost a visible share of the run.
+    pub const TASKS_PER_THREAD: usize = 16;
 
     /// Whole trees below `AUTO_SERIAL_FACTOR * split_threshold` binary
     /// nodes resolve to the serial path even when `threads > 1`: at that
@@ -223,10 +235,10 @@ impl OptimizeConfig {
         }
     }
 
-    /// Overrides the scheduler split granularity (see
-    /// [`OptimizeConfig::split_threshold`]). `0` disables inline
-    /// batching and the auto-serial fallback — every node becomes its
-    /// own task, exactly the pre-granularity scheduler.
+    /// Overrides the scheduler split granularity, the floor of the task
+    /// size (see [`OptimizeConfig::split_threshold`]). `0` disables
+    /// inline batching and the auto-serial fallback — every node becomes
+    /// its own task, exactly the pre-granularity scheduler.
     #[must_use]
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
         self.split_threshold = threshold;
@@ -247,6 +259,28 @@ impl OptimizeConfig {
                 < self
                     .split_threshold
                     .saturating_mul(Self::AUTO_SERIAL_FACTOR)
+    }
+
+    /// The scheduler's task size for a tree with `modules` leaf modules,
+    /// in restructured binary-tree nodes (`2·modules − 1` in all): the
+    /// maximal subtrees below it run inline as one task each, and every
+    /// join above it is a task of its own. It is `split_threshold` or
+    /// the tree's nodes over `threads ×`
+    /// [`OptimizeConfig::TASKS_PER_THREAD`], whichever is larger, so a
+    /// large tree becomes a few hundred tasks whatever its size. `1`
+    /// (per-node tasks) when `split_threshold` is `0`. The size never
+    /// changes results, only how the work is cut.
+    #[must_use]
+    pub fn task_size_for(&self, modules: usize) -> usize {
+        if self.split_threshold == 0 {
+            return 1;
+        }
+        let bin_nodes = 2 * modules.max(1) - 1;
+        let share = bin_nodes
+            / self
+                .resolved_threads()
+                .saturating_mul(Self::TASKS_PER_THREAD);
+        self.split_threshold.max(share)
     }
 
     /// Sets the root objective.

@@ -9,13 +9,15 @@
 //! injector — a hand-rolled work-stealing scheduler, since the build is
 //! fully offline.
 //!
-//! Task granularity is subtree-aware: maximal subtrees below the
-//! configured split threshold ([`OptimizeConfig::split_threshold`]) run
-//! inline as one serial task — their post-order node range is
-//! contiguous, so the task is a plain loop — while joins above the
-//! threshold are individual tasks, and a steal sweep moves up to half
-//! the victim's deque at once. Whole trees below the auto-serial bound
-//! never reach this module (see [`OptimizeConfig::auto_serial_for`]).
+//! Task granularity is subtree-aware: maximal subtrees below the task
+//! size ([`OptimizeConfig::task_size_for`]: the tree cut into about
+//! [`OptimizeConfig::TASKS_PER_THREAD`] inline tasks per worker, never
+//! finer than [`OptimizeConfig::split_threshold`]) run inline as one
+//! serial task — their post-order node range is contiguous, so the task
+//! is a plain loop — while joins above it are individual tasks, and a
+//! steal sweep moves up to half the victim's deque at once. Whole trees
+//! below the auto-serial bound never reach this module (see
+//! [`OptimizeConfig::auto_serial_for`]).
 //!
 //! # The determinism contract
 //!
@@ -26,16 +28,17 @@
 //!   only on its children's lists, and every kernel is deterministic.
 //! * Governor state is the schedule-dependent part (budget trips, fault
 //!   ordinals, the rescue ladder). So workers do **local** accounting —
-//!   per-block generated counts and transient peaks — and after a clean
-//!   parallel pass the scheduler *replays the serial schedule* over
-//!   those records: walking nodes in tree order, tracking the committed
-//!   total, the generated ordinal, and the cache self-hit set exactly as
-//!   the serial meter would. If the replay shows the serial run would
-//!   have tripped anything (budget or fault plan), the parallel work is
-//!   discarded wholesale and the untouched serial path re-runs from
-//!   scratch — reproducing the rescue ladder, its [`DegradationEvent`]
-//!   sequence, or its error byte-for-byte. Otherwise the replay yields
-//!   the exact serial [`RunStats`] (peak, generated, cache counters).
+//!   per-block generated counts and transient peaks, folded per task —
+//!   and after a clean parallel pass the scheduler *replays the serial
+//!   schedule* over those records: walking tasks in tree order, tracking
+//!   the committed total and the generated ordinal exactly as the serial
+//!   meter would (and, on cached runs, node by node, the cache self-hit
+//!   set). If the replay shows the serial run would have tripped
+//!   anything (budget or fault plan), the parallel work is discarded
+//!   wholesale and the untouched serial path re-runs from scratch —
+//!   reproducing the rescue ladder, its [`DegradationEvent`] sequence,
+//!   or its error byte-for-byte. Otherwise the replay yields the exact
+//!   serial [`RunStats`] (peak, generated, cache counters).
 //! * Cache stores are buffered and flushed in tree order only after the
 //!   replay proves the run clean, so a trip-then-fallback run never
 //!   publishes blocks the serial run would not have.
@@ -45,8 +48,9 @@
 //!   (wall clocks aren't), which matches their serial semantics.
 //!
 //! In-flight, workers also run a conservative budget check (shared
-//! committed total + local block) purely to bound overshoot; it never
-//! decides the outcome — it only routes to the exact serial path.
+//! committed total + the running task + local block) purely to bound
+//! overshoot; it never decides the outcome — it only routes to the exact
+//! serial path.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -105,7 +109,9 @@ fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct SharedGov {
     /// The configured implementation budget.
     limit: Option<usize>,
-    /// Final implementation counts of completed nodes (any order).
+    /// Final implementation counts of completed tasks (any order). Each
+    /// task adds its total once, when it is published: one write per
+    /// task, not per node, to a line every budget check reads.
     committed: AtomicUsize,
     /// Raised on any trip or fallback: every worker stops at its next
     /// poll point.
@@ -174,6 +180,9 @@ struct WorkerGov<'a> {
     shared: &'a SharedGov,
     /// The node under construction (trip attribution).
     block: usize,
+    /// Implementations committed by the running task's earlier nodes
+    /// (not yet in the shared total).
+    task: usize,
     /// Current in-block live candidates (charges minus discards).
     live: usize,
     /// Maximum in-block live ever reached — the serial meter's transient
@@ -185,10 +194,11 @@ struct WorkerGov<'a> {
 }
 
 impl<'a> WorkerGov<'a> {
-    fn new(shared: &'a SharedGov, block: usize) -> Self {
+    fn new(shared: &'a SharedGov, block: usize, task: usize) -> Self {
         WorkerGov {
             shared,
             block,
+            task,
             live: 0,
             peak: 0,
             generated: 0,
@@ -208,12 +218,12 @@ impl Governor for WorkerGov<'_> {
             self.peak = self.live;
         }
         if let Some(limit) = self.shared.limit {
-            // Conservative overshoot bound: completed nodes plus this
-            // block already exceed the budget, so the serial schedule is
-            // at least *likely* to trip — let the exact serial path
-            // decide (it reproduces the trip, the rescue ladder, or a
-            // clean squeeze-through byte-for-byte).
-            if self.shared.committed.load(Ordering::Relaxed) + self.live > limit {
+            // Conservative overshoot bound: completed tasks, the running
+            // task and this block already exceed the budget, so the
+            // serial schedule is at least *likely* to trip — let the
+            // exact serial path decide (it reproduces the trip, the
+            // rescue ladder, or a clean squeeze-through byte-for-byte).
+            if self.shared.committed.load(Ordering::Relaxed) + self.task + self.live > limit {
                 self.shared.request_fallback();
                 return Err(abort_trip());
             }
@@ -238,6 +248,13 @@ impl Governor for WorkerGov<'_> {
 /// material for the serial-schedule replay.
 #[derive(Clone, Copy, Default)]
 struct NodeAcc {
+    /// The committed implementation count.
+    len: usize,
+    /// The committed block's kind.
+    kind: Kind,
+    /// Whether the node is a join (a leaf's R-list is no block of the
+    /// run's largest-block statistics).
+    join: bool,
     /// Candidates charged while building (or reconstituting) the node.
     generated: u64,
     /// Maximum in-block live count during the build.
@@ -251,23 +268,66 @@ struct NodeAcc {
     /// Whether the L-block reduction fired while building this node.
     l_reductions: usize,
     /// Wall-clock this node's worker spent in the selection kernels.
-    selection_time: std::time::Duration,
+    selection_time: Duration,
     /// Set by the replay: the serial pass would have stored this node to
     /// the block cache (a built join, not a hit).
     store_after_replay: bool,
 }
 
+/// A stretch of the serial schedule — one task, or one node — folded
+/// into what the replay needs from it. A worker folds each task as it
+/// builds the nodes in tree order.
+#[derive(Default)]
+struct TaskAcc {
+    /// Implementations the stretch commits.
+    committed: usize,
+    /// Candidates the stretch charges.
+    generated: u64,
+    /// The stretch's peak above the committed total at its start: the
+    /// maximum over its nodes of the length committed before the node
+    /// plus the node's transient peak.
+    peak: usize,
+    r_reductions: usize,
+    l_reductions: usize,
+    selection_time: Duration,
+    /// The largest join R-block and the largest L-block committed.
+    max_r_block: usize,
+    max_l_block: usize,
+}
+
+impl TaskAcc {
+    /// Appends one node to the stretch.
+    fn add(&mut self, node: &NodeAcc) {
+        self.peak = self.peak.max(self.committed + node.transient_peak);
+        self.committed += node.len;
+        self.generated += node.generated;
+        self.r_reductions += node.r_reductions;
+        self.l_reductions += node.l_reductions;
+        self.selection_time += node.selection_time;
+        match node.kind {
+            Kind::Rect if node.join => self.max_r_block = self.max_r_block.max(node.len),
+            Kind::L => self.max_l_block = self.max_l_block.max(node.len),
+            Kind::Rect => {}
+        }
+    }
+}
+
 /// What a worker publishes when a task completes: the lists of the
 /// nodes it built, in a segment of columns of its own, with their block
-/// records and replay accounting in tree order. A published task is
-/// never written again, so workers read each other's results without
-/// locks.
+/// records in tree order and the task's replay accounting. A published
+/// task is never written again, so workers read each other's results
+/// without locks.
 struct TaskOut {
     /// The task's first node (its node range is `lo..lo + blocks.len()`).
     lo: usize,
     cols: Columns,
     blocks: Vec<Block>,
-    accs: Vec<NodeAcc>,
+    /// The task's accounting, folded over its nodes.
+    acc: TaskAcc,
+    /// Per-node accounting, kept on cached runs only: whether the serial
+    /// pass hits the cache depends on what it stored before, node by
+    /// node, so those tasks replay node by node.
+    nodes: Vec<NodeAcc>,
     /// Degradations carried by the task's cache hits, by node (blocks
     /// the engine stores carry none; kept exact for foreign caches).
     hit_degradations: Vec<(usize, Vec<DegradationEvent>)>,
@@ -369,7 +429,7 @@ struct WorkerCtx<'a> {
     /// Subtree sizes in binary-tree nodes (post-order contiguity makes
     /// `[i + 1 - size[i], i]` exactly node `i`'s subtree).
     size: &'a [usize],
-    /// The split threshold: tasks covering fewer nodes run inline.
+    /// The task size: subtrees of fewer nodes run inline as one task.
     cap: usize,
     /// Each task root's index into `tasks` (`u32::MAX` elsewhere).
     task_of: &'a [u32],
@@ -431,7 +491,7 @@ pub(crate) fn try_parallel(
     // one inline serial task (their post-order range is contiguous);
     // joins at or above it are individual tasks. `cap = 2` degenerates
     // to per-node scheduling (`split_threshold == 0`, the testing aid).
-    let cap = config.split_threshold.max(2);
+    let cap = config.task_size_for(leaf_count).max(2);
     let mut parent = vec![usize::MAX; n];
     let mut size = vec![1usize; n];
     for (i, node) in bin.nodes().iter().enumerate() {
@@ -590,8 +650,7 @@ pub(crate) fn try_parallel(
     }
 
     let replay_started = Instant::now();
-    let Some(mut stats) = replay_serial_schedule(&bin, &mut outs, config, fps, cache.is_some())
-    else {
+    let Some(mut stats) = replay_serial_schedule(&mut outs, config, fps) else {
         // The serial schedule would have tripped: discard everything
         // (including buffered cache stores) and let the serial path
         // reproduce the trip/rescue byte-for-byte.
@@ -607,7 +666,7 @@ pub(crate) fn try_parallel(
     let flush_started = Instant::now();
     if let (Some(cache), Some(fps)) = (cache, fps) {
         for out in &outs {
-            for (i, (acc, block)) in (out.lo..).zip(out.accs.iter().zip(&out.blocks)) {
+            for (i, (acc, block)) in (out.lo..).zip(out.nodes.iter().zip(&out.blocks)) {
                 if acc.store_after_replay {
                     if let Some(&fp) = fps.get(i) {
                         cache.store(fp, out.cols.view(block).to_cached());
@@ -692,35 +751,33 @@ fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
             lo,
             cols: Columns::new(task),
             blocks: Vec::with_capacity(index + 1 - lo),
-            accs: Vec::with_capacity(index + 1 - lo),
+            acc: TaskAcc::default(),
+            nodes: Vec::new(),
             hit_degradations: Vec::new(),
         };
         for i in lo..=index {
-            match build_node(i, &ctx, &mut out, &mut scratch, tc) {
-                Ok(len) => {
-                    ctx.shared.committed.fetch_add(len, Ordering::Relaxed);
-                }
-                Err(trip) => {
-                    if !is_abort(&trip) {
-                        if trip.is_rescuable() {
-                            // Defensive: workers do not produce rescuable
-                            // trips directly, but if one appears, the
-                            // serial path owns the rescue ladder.
-                            ctx.shared.request_fallback();
-                        } else {
-                            ctx.shared.record_trip(trip, i);
-                        }
+            if let Err(trip) = build_node(i, &ctx, &mut out, &mut scratch, tc) {
+                if !is_abort(&trip) {
+                    if trip.is_rescuable() {
+                        // Defensive: workers do not produce rescuable
+                        // trips directly, but if one appears, the
+                        // serial path owns the rescue ladder.
+                        ctx.shared.request_fallback();
+                    } else {
+                        ctx.shared.record_trip(trip, i);
                     }
-                    return;
                 }
+                return;
             }
         }
+        let committed = out.acc.committed;
         if slot.set(out).is_err() {
             // Double-build: a scheduling bug. The serial path still
             // computes the right answer.
             ctx.shared.request_fallback();
             return;
         }
+        ctx.shared.committed.fetch_add(committed, Ordering::Relaxed);
         ctx.remaining.fetch_sub(index + 1 - lo, Ordering::AcqRel);
         // The task is published: release the consuming split join.
         let p = ctx.parent.get(index).copied().unwrap_or(usize::MAX);
@@ -735,23 +792,25 @@ fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
 }
 
 /// Builds node `index` of the running task `out` under a per-worker
-/// governor: appends its lists to the task's columns and its block
-/// record and replay accounting to the task. Returns the committed
-/// length.
+/// governor: appends its lists to the task's columns, its block record
+/// to the task, and folds its replay accounting into the task's.
 fn build_node(
     index: usize,
     ctx: &WorkerCtx<'_>,
     out: &mut TaskOut,
     scratch: &mut Scratch,
     tc: TraceCtx<'_>,
-) -> Result<usize, Trip> {
+) -> Result<(), Trip> {
     ctx.shared.check_realtime(index)?;
     let node = ctx
         .bin
         .node(index)
         .ok_or(Trip::Internal("scheduler node index out of range"))?;
-    let mut acc = NodeAcc::default();
-    let mut gov = WorkerGov::new(ctx.shared, index);
+    let mut acc = NodeAcc {
+        join: matches!(node, BinNode::Join { .. }),
+        ..NodeAcc::default()
+    };
+    let mut gov = WorkerGov::new(ctx.shared, index, out.acc.committed);
     let block = match node {
         BinNode::Leaf { module, .. } => {
             let list = ctx
@@ -816,11 +875,16 @@ fn build_node(
             }
         }
     };
+    acc.len = block.len();
+    acc.kind = block.kind;
     acc.generated = gov.generated;
     acc.transient_peak = gov.peak;
     out.blocks.push(block);
-    out.accs.push(acc);
-    Ok(block.len())
+    out.acc.add(&acc);
+    if ctx.cache.is_some() {
+        out.nodes.push(acc);
+    }
+    Ok(())
 }
 
 /// The committed lists of join operand `child`: a node of the running
@@ -838,97 +902,278 @@ fn operand<'v>(ctx: &'v WorkerCtx<'_>, out: &'v TaskOut, child: usize) -> Option
     Some(task.cols.view(task.blocks.last()?))
 }
 
-/// Replays the serial schedule over the per-node accounting: walks nodes
-/// in tree order tracking the committed total, the generated ordinal,
-/// and the set of fingerprints a serial pass would already have stored
-/// (within-run self-hits). Returns `None` if the serial run would have
-/// tripped the budget or a fault-plan ordinal anywhere — the caller then
-/// discards the parallel work. Otherwise returns the exact serial
-/// [`RunStats`] (minus `elapsed`, which the caller stamps) and marks
-/// which nodes the serial pass would have stored to the cache.
+/// Replays the serial schedule over the workers' accounting in tree
+/// order. Returns `None` if the serial run would have tripped the budget
+/// or a fault-plan ordinal anywhere — the caller then discards the
+/// parallel work. Otherwise returns the exact serial [`RunStats`] (minus
+/// `elapsed`, which the caller stamps) and marks which nodes the serial
+/// pass would have stored to the cache. A task without per-node records
+/// folds in one step; a cached run's tasks walk their nodes, tracking the
+/// fingerprints a serial pass would already have stored (within-run
+/// self-hits).
 fn replay_serial_schedule(
-    bin: &BinaryTree,
     outs: &mut [TaskOut],
     config: &OptimizeConfig,
     fps: Option<&[Fingerprint]>,
-    caching: bool,
 ) -> Option<RunStats> {
-    let limit = config.memory_limit;
     let empty: &[u64] = &[];
-    let points: &[u64] = config.fault_plan.as_ref().map_or(empty, FaultPlan::points);
-    let mut cursor = 0usize;
-    let mut committed: usize = 0;
-    let mut generated: u64 = 0;
-    let mut peak: usize = 0;
-    let mut stats = RunStats::default();
-    let mut stored: HashSet<Fingerprint> = HashSet::new();
+    let points = config.fault_plan.as_ref().map_or(empty, FaultPlan::points);
+    let mut replay = Replay::new(config.memory_limit, points);
     for out in outs {
+        if out.nodes.is_empty() {
+            replay.fold(&out.acc)?;
+            continue;
+        }
         let hits = &out.hit_degradations;
-        for (i, (acc, block)) in (out.lo..).zip(out.accs.iter_mut().zip(&out.blocks)) {
-            let is_join = matches!(bin.node(i), Some(BinNode::Join { .. }));
+        for (i, acc) in (out.lo..).zip(out.nodes.iter_mut()) {
             let fp = fps.and_then(|f| f.get(i)).copied();
-            let final_len = block.len();
-            // Would the serial pass have hit the cache here? Either the
-            // pre-run lookup hit, or an identical block earlier in tree
-            // order stored under the same address during this run.
-            let serial_hit = caching
-                && is_join
-                && acc.looked_up
-                && (acc.initial_hit || fp.is_some_and(|fp| stored.contains(&fp)));
-            let (d_gen, d_peak) = if serial_hit {
-                // A serial hit charges the cached list in one go.
-                (final_len as u64, final_len)
-            } else {
-                (acc.generated, acc.transient_peak)
-            };
-            // Budget: the serial meter trips when committed-so-far plus
-            // the block's in-flight live count exceeds the limit at any
-            // charge; the recorded transient peak is that maximum.
-            if limit.is_some_and(|l| committed + d_peak > l) {
+            let events = hits
+                .iter()
+                .find(|&&(node, _)| node == i)
+                .map(|(_, events)| events.as_slice());
+            replay.node(acc, fp, events)?;
+        }
+    }
+    Some(replay.finish())
+}
+
+/// The serial meter's state, advanced over the schedule in tree order.
+struct Replay<'a> {
+    limit: Option<usize>,
+    /// The fault plan's ordinals, ascending; `cursor` skips those passed.
+    points: &'a [u64],
+    cursor: usize,
+    committed: usize,
+    generated: u64,
+    stored: HashSet<Fingerprint>,
+    stats: RunStats,
+}
+
+impl<'a> Replay<'a> {
+    fn new(limit: Option<usize>, points: &'a [u64]) -> Self {
+        Replay {
+            limit,
+            points,
+            cursor: 0,
+            committed: 0,
+            generated: 0,
+            stored: HashSet::new(),
+            stats: RunStats::default(),
+        }
+    }
+
+    /// Advances over one stretch of the schedule; `None` if the serial
+    /// meter trips in it. The fold is exact for a stretch of any length:
+    /// the meter trips the budget when the committed total plus a node's
+    /// in-flight live count exceeds the limit, and the stretch's `peak`
+    /// is the largest such sum above the total at its start; a fault
+    /// point trips when the generated ordinal crosses it, and the
+    /// nodes' generated ranges tile `(generated, generated + G]`.
+    fn fold(&mut self, acc: &TaskAcc) -> Option<()> {
+        if self.limit.is_some_and(|l| self.committed + acc.peak > l) {
+            return None;
+        }
+        let after = self.generated + acc.generated;
+        while let Some(&p) = self.points.get(self.cursor) {
+            if p <= self.generated {
+                self.cursor += 1;
+                continue;
+            }
+            if p <= after {
                 return None;
             }
-            // Fault plan: trips when the generated ordinal crosses a
-            // point within this block's charges.
-            let after = generated + d_gen;
-            while let Some(&p) = points.get(cursor) {
-                if p <= generated {
-                    cursor += 1;
-                    continue;
-                }
-                if p <= after {
-                    return None;
-                }
-                break;
+            break;
+        }
+        self.generated = after;
+        let stats = &mut self.stats;
+        stats.peak_impls = stats.peak_impls.max(self.committed + acc.peak);
+        self.committed += acc.committed;
+        stats.r_reductions += acc.r_reductions;
+        stats.l_reductions += acc.l_reductions;
+        stats.selection_time += acc.selection_time;
+        stats.max_r_block = stats.max_r_block.max(acc.max_r_block);
+        stats.max_l_block = stats.max_l_block.max(acc.max_l_block);
+        Some(())
+    }
+
+    /// Advances over one node of a cached run. The serial pass hits the
+    /// cache where the pre-run lookup hit, or where an identical block
+    /// earlier in tree order was stored under the same address during
+    /// this run; a hit charges the cached list in one go, with no
+    /// selection.
+    fn node(
+        &mut self,
+        acc: &mut NodeAcc,
+        fp: Option<Fingerprint>,
+        hit_events: Option<&[DegradationEvent]>,
+    ) -> Option<()> {
+        let serial_hit =
+            acc.looked_up && (acc.initial_hit || fp.is_some_and(|fp| self.stored.contains(&fp)));
+        let mut charged = *acc;
+        if serial_hit {
+            self.stats.cache_hits += 1;
+            self.stats
+                .degradations
+                .extend(hit_events.into_iter().flatten().cloned());
+            charged = NodeAcc {
+                generated: acc.len as u64,
+                transient_peak: acc.len,
+                r_reductions: 0,
+                l_reductions: 0,
+                selection_time: Duration::ZERO,
+                ..charged
+            };
+        } else if acc.looked_up {
+            self.stats.cache_misses += 1;
+            acc.store_after_replay = true;
+            if let Some(fp) = fp {
+                self.stored.insert(fp);
             }
-            generated = after;
-            peak = peak.max(committed + d_peak);
-            committed += final_len;
-            if serial_hit {
-                stats.cache_hits += 1;
-                if let Some((_, events)) = hits.iter().find(|&&(node, _)| node == i) {
-                    stats.degradations.extend(events.iter().cloned());
-                }
-            } else {
-                if caching && is_join && acc.looked_up {
-                    stats.cache_misses += 1;
-                    acc.store_after_replay = true;
-                    if let Some(fp) = fp {
-                        stored.insert(fp);
-                    }
-                }
-                stats.r_reductions += acc.r_reductions;
-                stats.l_reductions += acc.l_reductions;
-                stats.selection_time += acc.selection_time;
+        }
+        let mut one = TaskAcc::default();
+        one.add(&charged);
+        self.fold(&one)
+    }
+
+    fn finish(self) -> RunStats {
+        RunStats {
+            final_impls: self.committed,
+            generated: self.generated,
+            ..self.stats
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One node as the strategy draws it: `(len, generated, transient
+    /// peak)`, a code whose bit 0 makes an L-block and bit 1 a join, and
+    /// the R and L reductions.
+    type Drawn = ((usize, u64, usize), u8, (usize, usize));
+
+    fn node_acc(&((len, generated, transient_peak), code, (r, l)): &Drawn) -> NodeAcc {
+        NodeAcc {
+            len,
+            kind: if code & 1 == 1 { Kind::L } else { Kind::Rect },
+            join: code & 2 == 2,
+            generated,
+            transient_peak,
+            r_reductions: r,
+            l_reductions: l,
+            selection_time: Duration::from_nanos(generated * 3 + r as u64),
+            ..NodeAcc::default()
+        }
+    }
+
+    /// The serial meter spelled out node by node, independently of
+    /// [`Replay`]: a budget trip where the committed total plus a node's
+    /// transient peak exceeds the limit, a fault where a plan point lies
+    /// in the node's range of generated ordinals.
+    fn model(nodes: &[NodeAcc], limit: Option<usize>, points: &[u64]) -> Option<RunStats> {
+        let mut stats = RunStats::default();
+        for n in nodes {
+            let (committed, generated) = (stats.final_impls, stats.generated);
+            if limit.is_some_and(|l| committed + n.transient_peak > l) {
+                return None;
             }
-            match block.kind {
-                Kind::Rect if is_join => stats.max_r_block = stats.max_r_block.max(final_len),
-                Kind::L => stats.max_l_block = stats.max_l_block.max(final_len),
-                Kind::Rect => {}
+            if points
+                .iter()
+                .any(|&p| generated < p && p <= generated + n.generated)
+            {
+                return None;
+            }
+            stats.peak_impls = stats.peak_impls.max(committed + n.transient_peak);
+            stats.final_impls += n.len;
+            stats.generated += n.generated;
+            stats.r_reductions += n.r_reductions;
+            stats.l_reductions += n.l_reductions;
+            stats.selection_time += n.selection_time;
+            if n.kind == Kind::L {
+                stats.max_l_block = stats.max_l_block.max(n.len);
+            } else if n.join {
+                stats.max_r_block = stats.max_r_block.max(n.len);
+            }
+        }
+        Some(stats)
+    }
+
+    fn per_node(nodes: &[NodeAcc], limit: Option<usize>, points: &[u64]) -> Option<RunStats> {
+        let mut replay = Replay::new(limit, points);
+        for n in nodes {
+            replay.node(&mut n.clone(), None, None)?;
+        }
+        Some(replay.finish())
+    }
+
+    fn per_task(tasks: &[&[NodeAcc]], limit: Option<usize>, points: &[u64]) -> Option<RunStats> {
+        let mut replay = Replay::new(limit, points);
+        for task in tasks {
+            let mut acc = TaskAcc::default();
+            for n in *task {
+                acc.add(n);
+            }
+            replay.fold(&acc)?;
+        }
+        Some(replay.finish())
+    }
+
+    proptest! {
+        /// Folding each task into one step decides every budget and
+        /// fault-plan trip exactly as the node-by-node replay does, and a
+        /// clean fold yields the same `RunStats`, for any tiling of the
+        /// nodes into tasks. Limits sit at the serial peak and one either
+        /// side of it; fault points at task-boundary ordinals and one
+        /// either side of them.
+        #[test]
+        fn task_fold_matches_the_per_node_replay(
+            drawn in proptest::collection::vec(
+                ((0usize..30, 0u64..40, 0usize..60), 0u8..4, (0usize..3, 0usize..3)),
+                1..48,
+            ),
+            cuts in proptest::collection::vec(1usize..48, 0..12),
+            (limit_pick, limit_random) in (0u8..5, 0usize..1500),
+            boundary_points in proptest::collection::vec((0usize..13, 0u8..3), 0..4),
+            random_points in proptest::collection::vec(0u64..1000, 0..3),
+        ) {
+            let nodes: Vec<NodeAcc> = drawn.iter().map(node_acc).collect();
+            let mut bounds: Vec<usize> = cuts.into_iter().filter(|&c| c < nodes.len()).collect();
+            bounds.push(0);
+            bounds.push(nodes.len());
+            bounds.sort_unstable();
+            bounds.dedup();
+            let tasks: Vec<&[NodeAcc]> = bounds.windows(2).map(|w| &nodes[w[0]..w[1]]).collect();
+
+            let clean = model(&nodes, None, &[]).expect("no limit, no faults");
+            let peak = clean.peak_impls;
+            let limit = match limit_pick {
+                0 => Some(peak.saturating_sub(1)),
+                1 => Some(peak),
+                2 => Some(peak + 1),
+                3 => Some(limit_random),
+                _ => None,
+            };
+            // The generated ordinal at every task boundary.
+            let ordinals: Vec<u64> = bounds
+                .iter()
+                .map(|&b| nodes[..b].iter().map(|n| n.generated).sum())
+                .collect();
+            let mut points = random_points;
+            for (at, offset) in boundary_points {
+                if let Some(&ordinal) = ordinals.get(at % ordinals.len()) {
+                    points.push((ordinal + u64::from(offset)).saturating_sub(1));
+                }
+            }
+            let plan = FaultPlan::at_allocations(&points);
+
+            let expect = model(&nodes, limit, plan.points());
+            prop_assert_eq!(&per_node(&nodes, limit, plan.points()), &expect);
+            prop_assert_eq!(&per_task(&tasks, limit, plan.points()), &expect);
+            if limit.is_some_and(|l| l >= peak) && plan.is_empty() {
+                prop_assert_eq!(expect, Some(clean));
             }
         }
     }
-    stats.peak_impls = peak;
-    stats.final_impls = committed;
-    stats.generated = generated;
-    Some(stats)
 }

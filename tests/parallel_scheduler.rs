@@ -389,3 +389,80 @@ fn auto_thread_count_matches_serial() {
     assert_eq!(serial.envelopes(), auto.envelopes());
     assert_stats_identical(serial.stats(), auto.stats(), "auto threads");
 }
+
+/// The per-task replay fold decides budget and fault-plan trips exactly
+/// where the serial meter does, at the task size derived from the tree
+/// (default split threshold, the FP5-sized 10k-module mega instance): a
+/// budget of exactly the serial peak runs clean and one below trips, and
+/// a fault at the serial run's last generated ordinal trips while one
+/// past it does not — with and without the rescue ladder, each parallel
+/// run equal to the serial one in frontier, stats, degradations and
+/// error text.
+#[test]
+fn mega_instance_budget_and_fault_boundaries_match_serial() {
+    use fp_tree::mega::{mega_floorplan, mega_library, MegaConfig};
+    let cfg = MegaConfig::new(10_000).with_seed(42);
+    let bench = mega_floorplan(&cfg);
+    let lib = mega_library(&bench.tree, &cfg);
+    let plain = optimize_frontier(
+        &bench.tree,
+        &lib,
+        &OptimizeConfig::default().with_threads(1),
+    )
+    .expect("serial mega run solves");
+    let peak = plain.stats().peak_impls;
+    let generated = plain.stats().generated;
+    let mut cases = Vec::new();
+    for rescue in [false, true] {
+        for (limit, trips) in [(peak, false), (peak - 1, true)] {
+            let config = OptimizeConfig::default()
+                .with_memory_limit(Some(limit))
+                .with_auto_rescue(rescue);
+            cases.push((format!("budget {limit}"), config, rescue, trips));
+        }
+        for (point, trips) in [(generated, true), (generated + 1, false)] {
+            let config = OptimizeConfig::default()
+                .with_fault_plan(Some(FaultPlan::at_allocations(&[point])))
+                .with_auto_rescue(rescue);
+            cases.push((format!("fault at {point}"), config, rescue, trips));
+        }
+    }
+    for (what, config, rescue, trips) in cases {
+        let label = format!("mega-10k {what}, rescue {rescue}");
+        let serial = optimize_frontier(&bench.tree, &lib, &config.clone().with_threads(1));
+        // The boundary is where the serial run says it is: a clean run
+        // without degradations, an error, or a rescued run.
+        match &serial {
+            Ok(s) => assert_eq!(
+                !s.stats().degradations.is_empty(),
+                trips,
+                "{label}: serial degradations"
+            ),
+            Err(e) => assert!(trips && !rescue, "{label}: serial error {e}"),
+        }
+        for threads in [2, 4] {
+            let parallel =
+                optimize_frontier(&bench.tree, &lib, &config.clone().with_threads(threads));
+            let label = format!("{label} @{threads}");
+            match (&serial, &parallel) {
+                (Ok(s), Ok(p)) => {
+                    assert_eq!(s.envelopes(), p.envelopes(), "{label}: frontier");
+                    assert_stats_identical(s.stats(), p.stats(), &label);
+                    assert_eq!(
+                        s.outcome(0).assignment,
+                        p.outcome(0).assignment,
+                        "{label}: assignment"
+                    );
+                }
+                (Err(se), Err(pe)) => {
+                    assert_eq!(se.to_string(), pe.to_string(), "{label}: error");
+                }
+                (s, p) => panic!(
+                    "{label}: paths diverged: serial {:?} vs parallel {:?}",
+                    s.as_ref().err(),
+                    p.as_ref().err()
+                ),
+            }
+        }
+    }
+}
