@@ -10,7 +10,9 @@
 //!   in `DESIGN.md`;
 //! * the `tables` binary (`cargo run -p fp-bench --release --bin tables`)
 //!   that prints every table, and Criterion benches for the runtime
-//!   components.
+//!   components;
+//! * the `fpbench` binary ([`harness`]) that runs the gated benchmark
+//!   suites and writes their `BENCH_<suite>.json` artifacts.
 //!
 //! The 1991 SPARCstation's physical memory is emulated by the
 //! implementation budget [`PAPER_MEMORY_CAP`] (the paper's failed runs
@@ -24,7 +26,9 @@
 
 pub mod ablation;
 pub mod chart;
+pub mod harness;
 pub mod host;
+mod suites;
 
 use std::time::Duration;
 
