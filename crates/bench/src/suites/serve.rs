@@ -262,9 +262,10 @@ fn run_tcp(lines: &[(&'static str, String)], addr: &str, clients: usize) -> Cell
         .collect();
     drive_closed_loop(lines, 0, clients, |client, line| {
         let mut conn = streams[client].lock().expect("connection");
+        // One write per request: a separate write for the newline would
+        // sit in Nagle's buffer until the server's delayed ACK (~40 ms).
         conn.0
-            .write_all(line.as_bytes())
-            .and_then(|()| conn.0.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .expect("request written");
         let mut reply = String::new();
         conn.1.read_line(&mut reply).expect("reply line");

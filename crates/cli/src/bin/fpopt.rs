@@ -114,7 +114,7 @@ session options:
 
 observability options:
   --trace <path>     write the run's structured event stream as JSON
-                     lines (join/selection/cache/steal/rescue events)
+                     lines (join/selection/cache/rescue events)
   --profile          print a per-phase wall-time tree with % shares
                      (restructure / enumerate / selection / trace-back)
 
@@ -826,9 +826,12 @@ fn main() -> ExitCode {
         config = config.with_r_selection(k1);
     }
     if let Some(k2) = args.k2 {
-        let mut policy = LReductionPolicy::new(k2)
-            .with_theta(args.theta)
-            .with_parallel(args.parallel);
+        let mut policy = LReductionPolicy::new(k2).with_theta(args.theta);
+        if args.parallel {
+            policy = policy.with_workers(
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            );
+        }
         if let Some(s) = args.prefilter {
             policy = policy.with_prefilter(s);
         }

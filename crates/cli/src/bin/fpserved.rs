@@ -19,8 +19,10 @@
 //! A single event-loop thread multiplexes the listener and every
 //! connection through `poll(2)` — no thread per connection. Complete
 //! request lines are parsed on the loop, admission-checked, and
-//! submitted as jobs to one work-stealing executor shared by server
-//! requests, anneal chains, and intra-request tree splits. Workers
+//! submitted as jobs to one executor, whose workers take them from one
+//! FIFO queue. A request that splits its tree at `threads` n runs on
+//! its executor worker plus n − 1 helpers leased from the pool's spare
+//! capacity. Workers
 //! hand finished replies back over a channel and wake the loop through
 //! a socketpair; the loop owns all socket writes, buffering partial
 //! writes until the peer drains them.

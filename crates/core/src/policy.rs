@@ -157,8 +157,7 @@ pub struct LReductionPolicy {
     theta: f64,
     prefilter: Option<usize>,
     metric: Metric,
-    parallel: bool,
-    workers: Option<usize>,
+    workers: usize,
 }
 
 impl LReductionPolicy {
@@ -176,33 +175,23 @@ impl LReductionPolicy {
             theta: 1.0,
             prefilter: None,
             metric: Metric::L1,
-            parallel: false,
-            workers: None,
+            workers: 1,
         }
     }
 
-    /// Runs the per-list selections on scoped worker threads. The result
-    /// is bit-identical to the sequential path (each list is reduced
-    /// independently); only wall-clock time changes, so leave this off
-    /// when reproducing the paper's single-threaded CPU columns.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Caps the scoped worker pool used by the parallel path. `None`
-    /// (the default) sizes the pool from `available_parallelism()`;
-    /// callers that already own a thread budget — the tree-level
-    /// scheduler in `fp-optimizer` — pass their per-worker share here
-    /// (typically 1) so nested reductions never oversubscribe the
-    /// machine. A budget of 0 or 1 takes the sequential path outright.
-    /// Like [`LReductionPolicy::with_parallel`], this never changes the
-    /// reduction's output, so it is excluded from the policy
-    /// fingerprint that addresses the block cache.
+    /// Runs the per-list selections on up to `workers` scoped threads
+    /// (the default, 1, and 0 both reduce sequentially). The result is
+    /// bit-identical to the sequential path (each list is reduced
+    /// independently); only wall-clock time changes, so keep 1 when
+    /// reproducing the paper's single-threaded CPU columns. Callers
+    /// that already own a thread budget — the tree-level scheduler in
+    /// `fp-optimizer` — pass 1 so nested reductions never oversubscribe
+    /// the machine. Since it never changes the reduction's output, the
+    /// worker count is excluded from the policy fingerprint that
+    /// addresses the block cache.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+        self.workers = workers;
         self
     }
 
@@ -269,29 +258,12 @@ impl LReductionPolicy {
         self.metric
     }
 
-    /// Whether reductions run on worker threads.
+    /// The worker threads a reduction may use (when one runs, it is
+    /// additionally capped at the block's list count).
     #[inline]
     #[must_use]
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// The worker-pool cap for the parallel path, if one was set.
-    #[inline]
-    #[must_use]
-    pub fn workers(&self) -> Option<usize> {
+    pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The worker-pool size this policy resolves to, under the one
-    /// documented precedence order: an explicit
-    /// [`LReductionPolicy::with_workers`] budget, else the
-    /// `FP_LRED_WORKERS` environment variable, else the machine's
-    /// available parallelism. (When a reduction actually runs, the pool
-    /// is additionally capped at the block's list count.)
-    #[must_use]
-    pub fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(default_lred_workers)
     }
 
     /// Applies the policy to a block's L-list set: `Some(kept positions per
@@ -311,21 +283,6 @@ impl LReductionPolicy {
     ) -> Option<Vec<Vec<usize>>> {
         reduce_llist_set_scratch(set, self, scratch)
     }
-}
-
-/// The worker-pool default when no explicit budget was set: the
-/// `FP_LRED_WORKERS` environment variable if it parses, else the
-/// machine's available parallelism. Cached for the process lifetime so
-/// every join sees one consistent answer.
-fn default_lred_workers() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("FP_LRED_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-    })
 }
 
 /// Applies an [`LReductionPolicy`] to a block's set of irreducible L-lists.
@@ -377,15 +334,9 @@ pub fn reduce_llist_set_scratch(
         budgets[i] += 1;
     }
 
-    // The pool is sized by the caller's budget when one was given (the
-    // tree-level scheduler passes its per-worker share), by the
-    // FP_LRED_WORKERS environment default or the machine otherwise. A
-    // budget of 0 or 1 degenerates to the sequential path.
-    let workers = policy
-        .workers
-        .unwrap_or_else(default_lred_workers)
-        .min(lists.len());
-    if policy.parallel && workers > 1 {
+    // A budget of 0 or 1 (or a single list) is the sequential path.
+    let workers = policy.workers.min(lists.len());
+    if workers > 1 {
         // Each list reduces independently: fan the lists out over scoped
         // threads in fixed-size stripes and reassemble in order.
         let mut out: Vec<Vec<Vec<usize>>> = Vec::new();
@@ -657,7 +608,7 @@ mod tests {
         assert!(set.lists().len() >= 10);
         let seq = LReductionPolicy::new(20).apply(&set).expect("fires");
         let par = LReductionPolicy::new(20)
-            .with_parallel(true)
+            .with_workers(4)
             .apply(&set)
             .expect("fires");
         assert_eq!(seq, par);
@@ -665,7 +616,6 @@ mod tests {
         // falls back to the sequential path) is bit-identical too.
         for budget in [0usize, 1, 2, 3, 64] {
             let capped = LReductionPolicy::new(20)
-                .with_parallel(true)
                 .with_workers(budget)
                 .apply(&set)
                 .expect("fires");

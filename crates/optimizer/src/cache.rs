@@ -672,14 +672,14 @@ mod tests {
                     .with_auto_rescue(true)
             )
         );
-        // The parallel flag is result-invariant (property-tested), so it
+        // The worker count is result-invariant (property-tested), so it
         // must share the address space with the serial path.
         let serial = base
             .clone()
-            .with_l_selection(LReductionPolicy::new(30).with_parallel(false));
+            .with_l_selection(LReductionPolicy::new(30).with_workers(1));
         let parallel = base
             .clone()
-            .with_l_selection(LReductionPolicy::new(30).with_parallel(true));
+            .with_l_selection(LReductionPolicy::new(30).with_workers(4));
         assert_eq!(policy_fingerprint(&serial), policy_fingerprint(&parallel));
     }
 

@@ -135,11 +135,12 @@ pub struct OptimizeConfig {
     /// trip is reported anyway.
     pub max_rescue_attempts: u32,
     /// Worker threads for the tree-level scheduler: `1` runs the classic
-    /// serial bottom-up pass, `n > 1` dispatches independent sibling
-    /// subtrees to a work-stealing pool of `n` threads, and `0` resolves
-    /// to the host's available parallelism. Results are byte-identical to
-    /// the serial path at any thread count (a run whose serial schedule
-    /// would trip a resource limit is transparently re-run serially).
+    /// serial bottom-up pass, `n > 1` builds independent sibling
+    /// subtrees on the calling thread plus `n − 1` scoped helpers, and
+    /// `0` resolves to the host's available parallelism. Results are
+    /// byte-identical to the serial path at any thread count (a run
+    /// whose serial schedule would trip a resource limit is
+    /// transparently re-run serially).
     /// Defaults to the `FP_THREADS` environment variable, else `1`.
     pub threads: usize,
     /// Scheduler split granularity, in restructured binary-tree nodes:
@@ -170,22 +171,23 @@ impl OptimizeConfig {
 
     /// The default scheduler split granularity: the smallest task size,
     /// in binary-tree nodes. It holds on trees too small for
-    /// [`OptimizeConfig::TASKS_PER_THREAD`] to cut coarser, so a stolen
-    /// task amortizes its queue round-trip over a few hundred joins
-    /// rather than one.
+    /// [`OptimizeConfig::TASKS_PER_THREAD`] to cut coarser, so a claimed
+    /// task amortizes its fixed cost over a few hundred joins rather
+    /// than one.
     pub const DEFAULT_SPLIT_THRESHOLD: usize = 256;
 
     /// How many inline tasks per worker the scheduler cuts a large tree
     /// into (see [`OptimizeConfig::task_size_for`]). The paper keeps
     /// every list small, so joins average a microsecond or two and a
     /// fixed cost per task adds up: a few hundred tasks leave enough to
-    /// steal, while thousands make that cost a visible share of the run.
+    /// even out the workers' loads, while thousands make that cost a
+    /// visible share of the run.
     pub const TASKS_PER_THREAD: usize = 16;
 
     /// Whole trees below `AUTO_SERIAL_FACTOR * split_threshold` binary
     /// nodes resolve to the serial path even when `threads > 1`: at that
-    /// size the pool spin-up, restructure-twice fallback risk, and
-    /// steal traffic provably cost more than the parallelism returns.
+    /// size the helper spin-up, restructure-twice fallback risk, and
+    /// per-task costs provably cost more than the parallelism returns.
     pub const AUTO_SERIAL_FACTOR: usize = 16;
 
     /// The default cap on run-wide rescue retries. Under a brutally tight
@@ -369,32 +371,27 @@ impl OptimizeConfig {
         self
     }
 
-    /// Resolves every environment-sensitive knob to the concrete value
-    /// the run will actually execute with. This is the **one documented
-    /// precedence order** for configuration:
+    /// Resolves the environment-sensitive thread count to the concrete
+    /// value the run will actually execute with. This is the **one
+    /// documented precedence order** for configuration:
     ///
     /// 1. **explicit builder values** — [`OptimizeConfig::with_threads`]
-    ///    and [`LReductionPolicy::with_workers`] always win;
+    ///    always wins;
     /// 2. **environment variables** — `$FP_THREADS` seeds the scheduler
-    ///    default and `$FP_LRED_WORKERS` the standalone L-reduction
-    ///    pool (both read once per process);
-    /// 3. **defaults** — a serial scheduler, an all-cores L-reduction
-    ///    pool.
+    ///    default (read once per process);
+    /// 3. **defaults** — a serial scheduler.
     ///
     /// In the returned config `threads` is never `0` (available
-    /// parallelism is resolved at call time) and any L-policy carries a
-    /// concrete worker budget. Binaries, the batch server, and trace
-    /// metadata echo this resolved config instead of re-deriving the
-    /// precedence themselves. Resolution never changes results — only
-    /// scheduling.
+    /// parallelism is resolved at call time). An L-policy's worker
+    /// count is always concrete ([`LReductionPolicy::with_workers`],
+    /// default 1) and passes through unchanged. Binaries, the batch
+    /// server, and trace metadata echo this resolved config instead of
+    /// re-deriving the precedence themselves. Resolution never changes
+    /// results — only scheduling.
     #[must_use]
     pub fn resolve(&self) -> OptimizeConfig {
         let mut resolved = self.clone();
         resolved.threads = self.resolved_threads();
-        resolved.l_policy = self.l_policy.clone().map(|l| {
-            let workers = l.resolved_workers();
-            l.with_workers(workers)
-        });
         resolved
     }
 
@@ -858,7 +855,7 @@ impl Frontier {
 }
 
 /// The unified optimizer facade: one builder over every execution
-/// regime — serial, work-stealing parallel, content-addressed caching,
+/// regime — serial, tree-parallel, content-addressed caching,
 /// and structured tracing — replacing the historical `optimize*`
 /// entry-point family.
 ///
@@ -878,9 +875,9 @@ impl Frontier {
 /// Attach a cache ([`Optimizer::cache`]) to memoize committed join
 /// blocks across runs, and a tracer ([`Optimizer::tracer`]) to collect
 /// the structured event stream (joins, selections with solver kinds,
-/// cache traffic, steals, rescues) for JSON-lines export, metrics, or
-/// the per-phase profiler. Neither changes results: every combination
-/// is byte-identical to the plain serial run.
+/// cache traffic, inline tasks, rescues) for JSON-lines export,
+/// metrics, or the per-phase profiler. Neither changes results: every
+/// combination is byte-identical to the plain serial run.
 #[derive(Clone)]
 pub struct Optimizer<'a> {
     pub(crate) tree: &'a FloorplanTree,
@@ -928,7 +925,7 @@ impl<'a> Optimizer<'a> {
 
     /// Attaches a [`Tracer`]: the run emits the structured event
     /// vocabulary (`join_start`/`join_done`, `selection` with the CSPP
-    /// solver kind, `cache_hit`/`miss`/`evict`, `steal`,
+    /// solver kind, `cache_hit`/`miss`/`evict`, `split_inline`,
     /// `replay_discard`, `rescue`, `deadline_trip`, phase spans) into
     /// its ring buffers. An unsubscribed tracer costs one branch per
     /// emission site; tracing never changes results.
@@ -1341,7 +1338,6 @@ fn tighten(eff: &mut EffectivePolicies) -> bool {
             let mut theta = l.theta();
             let mut prefilter = l.prefilter();
             let metric = l.metric();
-            let parallel = l.parallel();
             let workers = l.workers();
             // Tighten the trigger and the heuristic first, then the limit.
             if theta < 1.0 {
@@ -1357,10 +1353,7 @@ fn tighten(eff: &mut EffectivePolicies) -> bool {
             let mut next = LReductionPolicy::new(k2)
                 .with_theta(theta)
                 .with_metric(metric)
-                .with_parallel(parallel);
-            if let Some(w) = workers {
-                next = next.with_workers(w);
-            }
+                .with_workers(workers);
             if let Some(s) = prefilter {
                 next = next.with_prefilter(s.max(k2));
             }

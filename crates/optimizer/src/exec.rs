@@ -12,14 +12,14 @@
 //! Three kinds of work share the pool:
 //!
 //! * **`'static` jobs** ([`Executor::submit`]) — server requests and
-//!   other self-contained closures, queued per [`JobClass`] and popped
-//!   with round-robin class fairness so a burst of server traffic can
-//!   never starve annealing (or vice versa);
+//!   other self-contained closures, popped from one FIFO queue (the
+//!   [`JobClass`] only tags their trace events);
 //! * **borrowed batches** ([`Executor::run_batch`]) — anneal chains
 //!   borrowing the caller's tree/library run on *scoped* threads leased
-//!   from the pool's capacity, with idle helpers claim-stealing the
-//!   next unstarted chain (the caller always helps, so a saturated pool
-//!   degrades to caller-serial instead of deadlocking);
+//!   from the pool's capacity, every participant claiming the next
+//!   unstarted chain from one counter (the caller always helps, so a
+//!   saturated pool degrades to caller-serial instead of deadlocking);
+//!   the tree scheduler runs its tasks on the same claim model;
 //! * **accounted scopes** ([`Executor::run_scoped`]) — session
 //!   re-optimizations run on the calling thread but hold an execution
 //!   slot, so they show up in the same queue-depth/active gauges and
@@ -51,17 +51,9 @@ use crate::OptimizeConfig;
 /// Watchdog sweep cadence: granularity of deadline-cancel enforcement.
 const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
-/// Idle workers re-check the queues at least this often even without a
+/// Idle workers re-check the queue at least this often even without a
 /// wakeup, making the pool robust to (theoretical) lost notifications.
 const IDLE_RECHECK: Duration = Duration::from_millis(50);
-
-fn class_slot(class: JobClass) -> usize {
-    match class {
-        JobClass::Serve => 0,
-        JobClass::Anneal => 1,
-        JobClass::Session => 2,
-    }
-}
 
 /// Locks a mutex, recovering the guard from a poisoned lock: pool state
 /// stays usable even if a job panicked mid-update (job bodies are
@@ -76,7 +68,7 @@ fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 type Thunk = Box<dyn FnOnce() + Send + 'static>;
 
 /// A `run_batch` slot holding the not-yet-claimed job closure; taken
-/// exactly once by whichever participant claim-steals it.
+/// exactly once by whichever participant claims it.
 type PendingJob<'env, T> = Mutex<Option<Box<dyn FnOnce() -> T + Send + 'env>>>;
 
 struct Job {
@@ -94,33 +86,9 @@ struct Watch {
     token: CancelToken,
 }
 
-#[derive(Default)]
-struct Queues {
-    /// Per-class FIFO queues (slot order = [`CLASSES`]).
-    injectors: [VecDeque<Job>; 3],
-    /// Round-robin cursor: which class the next pop tries first.
-    rr: usize,
-}
-
-impl Queues {
-    fn len(&self) -> usize {
-        self.injectors.iter().map(VecDeque::len).sum()
-    }
-
-    fn pop(&mut self) -> Option<Job> {
-        for i in 0..self.injectors.len() {
-            let slot = (self.rr + i) % self.injectors.len();
-            if let Some(job) = self.injectors[slot].pop_front() {
-                self.rr = (slot + 1) % self.injectors.len();
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
 struct Shared {
-    queues: Mutex<Queues>,
+    /// Submitted jobs not yet started, oldest first.
+    queue: Mutex<VecDeque<Job>>,
     /// Signalled on submit and shutdown; workers wait here when idle.
     work: Condvar,
     shutdown: AtomicBool,
@@ -183,9 +151,9 @@ impl Shared {
 fn worker_loop(shared: &Shared, worker: u32) {
     loop {
         let job = {
-            let mut queues = lock_or_recover(&shared.queues);
+            let mut queue = lock_or_recover(&shared.queue);
             loop {
-                if let Some(job) = queues.pop() {
+                if let Some(job) = queue.pop_front() {
                     break Some(job);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -193,9 +161,9 @@ fn worker_loop(shared: &Shared, worker: u32) {
                 }
                 let (guard, _) = shared
                     .work
-                    .wait_timeout(queues, IDLE_RECHECK)
+                    .wait_timeout(queue, IDLE_RECHECK)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
-                queues = guard;
+                queue = guard;
             }
         };
         let Some(job) = job else { return };
@@ -368,7 +336,7 @@ impl Executor {
         }
         .max(1);
         let shared = Arc::new(Shared {
-            queues: Mutex::new(Queues::default()),
+            queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -433,10 +401,10 @@ impl Executor {
         *lock_or_recover(&self.shared.tracer) = None;
     }
 
-    /// Jobs waiting in the queues (not yet started).
+    /// Jobs waiting in the queue (not yet started).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        lock_or_recover(&self.shared.queues).len()
+        lock_or_recover(&self.shared.queue).len()
     }
 
     /// Jobs currently executing.
@@ -523,15 +491,12 @@ impl Executor {
             run();
             return JobHandle { state, id };
         }
-        {
-            let mut queues = lock_or_recover(&self.shared.queues);
-            queues.injectors[class_slot(class)].push_back(Job {
-                id,
-                class,
-                enqueued: Instant::now(),
-                run,
-            });
-        }
+        lock_or_recover(&self.shared.queue).push_back(Job {
+            id,
+            class,
+            enqueued: Instant::now(),
+            run,
+        });
         self.shared.work.notify_one();
         JobHandle { state, id }
     }
@@ -591,7 +556,7 @@ impl Executor {
     /// Runs a batch of borrowed jobs (anneal chains) with caller
     /// helping: scoped helper threads are leased from the pool's spare
     /// capacity, and every participant — helpers *and* the calling
-    /// thread — claim-steals the next unstarted job until the batch is
+    /// thread — claims the next unstarted job until the batch is
     /// drained. Results come back in submission order. A saturated pool
     /// grants no helpers and the batch runs caller-serial; it can never
     /// deadlock on pool exhaustion.
@@ -678,7 +643,7 @@ impl Executor {
         results
     }
 
-    /// Drains the queues and joins every worker. Called automatically
+    /// Drains the queue and joins every worker. Called automatically
     /// on drop; explicit calls make shutdown ordering visible at the
     /// call site (the server calls it after the listener closes).
     pub fn shutdown(&self) {
@@ -713,48 +678,6 @@ mod tests {
         assert_eq!(exec.completed(), 16);
         assert_eq!(exec.queue_depth(), 0);
         assert_eq!(exec.active(), 0);
-    }
-
-    #[test]
-    fn class_fairness_round_robins_queued_classes() {
-        // One worker, pre-loaded queues: pops must alternate classes
-        // rather than draining serve first.
-        let exec = Executor::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        // Park the worker so the queues actually fill.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let _parked = exec.submit(JobClass::Serve, move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        let mut handles = Vec::new();
-        for i in 0..3 {
-            for class in [JobClass::Serve, JobClass::Anneal, JobClass::Session] {
-                let order = Arc::clone(&order);
-                handles.push(exec.submit(class, move || {
-                    order.lock().unwrap().push((class.as_str(), i));
-                }));
-            }
-        }
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        for h in handles {
-            let () = h.join();
-        }
-        let order = order.lock().unwrap();
-        // First three pops cover all three classes (fair rotation).
-        let first: Vec<&str> = order.iter().take(3).map(|(c, _)| *c).collect();
-        assert!(first.contains(&"serve"), "{order:?}");
-        assert!(first.contains(&"anneal"), "{order:?}");
-        assert!(first.contains(&"session"), "{order:?}");
     }
 
     #[test]

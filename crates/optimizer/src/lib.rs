@@ -35,7 +35,7 @@
 //!
 //! Attach an [`fp_trace::Tracer`] via [`Optimizer::tracer`] to collect
 //! the structured event stream (joins, CSPP solver selections, cache
-//! traffic, steals, rescues, phase spans). Drain it into a
+//! traffic, inline tasks, rescues, phase spans). Drain it into a
 //! [`fp_trace::Trace`] for JSON-lines export, a [`TraceSummary`] of
 //! counters, or a [`ProfileReport`] per-phase wall-time breakdown.
 

@@ -1,22 +1,27 @@
-//! Tree-level parallel scheduler: work-stealing evaluation of the
-//! restructured slicing tree with serial-identical results.
+//! Tree-level parallel scheduler: a claim loop over the restructured
+//! slicing tree with serial-identical results.
 //!
 //! The bottom-up pass has natural task parallelism: two sibling subtrees
-//! share no data until their parent join consumes both. This module
-//! levels the binary tree by its dependency structure and dispatches
-//! *ready* nodes (leaves first, then joins whose children are built) to
-//! a bounded pool of workers with per-worker deques plus a shared
-//! injector — a hand-rolled work-stealing scheduler, since the build is
-//! fully offline.
+//! share no data until their parent join consumes both. This module cuts
+//! the binary tree into tasks and runs them on the calling thread plus
+//! `threads − 1` scoped helpers, without a queue:
 //!
-//! Task granularity is subtree-aware: maximal subtrees below the task
-//! size ([`OptimizeConfig::task_size_for`]: the tree cut into about
-//! [`OptimizeConfig::TASKS_PER_THREAD`] inline tasks per worker, never
-//! finer than [`OptimizeConfig::split_threshold`]) run inline as one
-//! serial task — their post-order node range is contiguous, so the task
-//! is a plain loop — while joins above it are individual tasks, and a
-//! steal sweep moves up to half the victim's deque at once. Whole trees
-//! below the auto-serial bound never reach this module (see
+//! * Maximal subtrees below the task size
+//!   ([`OptimizeConfig::task_size_for`]: the tree cut into about
+//!   [`OptimizeConfig::TASKS_PER_THREAD`] inline tasks per worker, never
+//!   finer than [`OptimizeConfig::split_threshold`]) run inline as one
+//!   serial task — their post-order node range is contiguous, so the task
+//!   is a plain loop. Their roots are listed once, in tree order, and
+//!   every worker claims the next one through one atomic counter.
+//! * Each join above them is a task of its own, a *split join*, waiting
+//!   on a count of its two child tasks. The worker that publishes the
+//!   second child builds the join next, so no task is ever queued.
+//! * A worker with nothing left to claim and no join to continue
+//!   returns. The calling thread first maps the leaf slots, then works
+//!   as worker 0 beside its helpers, as [`crate::Executor::run_batch`]'s
+//!   caller does.
+//!
+//! Whole trees below the auto-serial bound never reach this module (see
 //! [`OptimizeConfig::auto_serial_for`]).
 //!
 //! # The determinism contract
@@ -52,7 +57,7 @@
 //! overshoot; it never decides the outcome — it only routes to the exact
 //! serial path.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -78,11 +83,6 @@ use crate::store::{Block, Columns, Kind, Store, View};
 /// ever reaching this module.
 const MIN_PARALLEL_NODES: usize = 8;
 
-/// Upper bound on tasks moved by one steal sweep: stealing half a long
-/// deque amortizes the lock round-trip, but an unbounded grab would
-/// starve the victim of the locality it built up.
-const MAX_STEAL_BATCH: usize = 32;
-
 /// Sentinel `Trip` a worker returns when it stops because a *peer*
 /// tripped (or requested fallback). Never recorded, never surfaced.
 const ABORT_WHAT: &str = "parallel scheduler abort";
@@ -97,7 +97,7 @@ fn is_abort(trip: &Trip) -> bool {
 
 /// Locks a mutex, recovering the guard from a poisoned lock: scheduler
 /// state stays usable even if a worker panicked (the engine is
-/// panic-free, but the queues must never silently drop tasks).
+/// panic-free, but a recorded trip must never be lost).
 fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -333,90 +333,7 @@ struct TaskOut {
     hit_degradations: Vec<(usize, Vec<DegradationEvent>)>,
 }
 
-/// The work-stealing queues: one deque per worker plus a shared
-/// injector. Workers pop their own deque LIFO (depth-first locality),
-/// then the injector, then steal FIFO from peers.
-struct WorkQueues {
-    injector: Mutex<VecDeque<usize>>,
-    locals: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl WorkQueues {
-    fn new(workers: usize) -> Self {
-        WorkQueues {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        }
-    }
-
-    /// Pushes a ready node onto worker `w`'s deque (injector if out of
-    /// range — never drops a task).
-    fn push_local(&self, w: usize, node: usize) {
-        match self.locals.get(w) {
-            Some(local) => lock_or_recover(local).push_back(node),
-            None => lock_or_recover(&self.injector).push_back(node),
-        }
-    }
-
-    /// Next task for worker `w`: own deque (back), injector, then a
-    /// steal sweep over the other workers' deques (front). A successful
-    /// steal takes up to half the victim's deque (capped at
-    /// [`MAX_STEAL_BATCH`]) in one sweep — one lock round-trip instead
-    /// of one per task — runs the oldest stolen task and keeps the rest
-    /// locally. Steals are traced (thief/victim use the trace worker
-    /// ids, where 0 is the main thread).
-    fn pop(&self, w: usize, tc: TraceCtx<'_>) -> Option<usize> {
-        if let Some(local) = self.locals.get(w) {
-            if let Some(node) = lock_or_recover(local).pop_back() {
-                return Some(node);
-            }
-        }
-        if let Some(node) = lock_or_recover(&self.injector).pop_front() {
-            return Some(node);
-        }
-        let n = self.locals.len();
-        for off in 1..n {
-            let victim = (w + off) % n;
-            let Some(local) = self.locals.get(victim) else {
-                continue;
-            };
-            let mut batch: Vec<usize> = {
-                let mut deque = lock_or_recover(local);
-                if deque.is_empty() {
-                    continue;
-                }
-                let take = deque.len().div_ceil(2).min(MAX_STEAL_BATCH);
-                deque.drain(..take).collect()
-            };
-            let count = batch.len();
-            let first = batch.remove(0);
-            if !batch.is_empty() {
-                if let Some(own) = self.locals.get(w) {
-                    lock_or_recover(own).extend(batch);
-                } else {
-                    lock_or_recover(&self.injector).extend(batch);
-                }
-            }
-            if count > 1 {
-                tc.emit(TraceEvent::StealBatch {
-                    worker: w as u32 + 1,
-                    victim: victim as u32 + 1,
-                    count: count as u32,
-                });
-            } else {
-                tc.emit(TraceEvent::Steal {
-                    worker: w as u32 + 1,
-                    victim: victim as u32 + 1,
-                });
-            }
-            return Some(first);
-        }
-        None
-    }
-}
-
-/// Arguments threaded to every worker (one struct to keep the spawn
-/// call readable).
+/// The run's scheduling state, shared by every worker.
 struct WorkerCtx<'a> {
     bin: &'a BinaryTree,
     library: &'a ModuleLibrary,
@@ -425,18 +342,21 @@ struct WorkerCtx<'a> {
     cache: Option<&'a (dyn BlockCache + Sync)>,
     fps: Option<&'a [Fingerprint]>,
     parent: &'a [usize],
+    /// Per split join, the child tasks it still waits on.
     deps: &'a [AtomicUsize],
     /// Subtree sizes in binary-tree nodes (post-order contiguity makes
     /// `[i + 1 - size[i], i]` exactly node `i`'s subtree).
     size: &'a [usize],
     /// The task size: subtrees of fewer nodes run inline as one task.
     cap: usize,
+    /// The roots of the inline tasks, in tree order.
+    roots: &'a [usize],
+    /// The next unclaimed entry of `roots`.
+    next: &'a AtomicUsize,
     /// Each task root's index into `tasks` (`u32::MAX` elsewhere).
     task_of: &'a [u32],
     /// One slot per task, in tree order, set when the task completes.
     tasks: &'a [OnceLock<TaskOut>],
-    remaining: &'a AtomicUsize,
-    queues: &'a WorkQueues,
     shared: &'a SharedGov,
     tracer: Option<&'a Tracer>,
 }
@@ -511,15 +431,13 @@ pub(crate) fn try_parallel(
         }
     }
     let deps: Vec<AtomicUsize> = dep_counts.into_iter().map(AtomicUsize::new).collect();
-    let queues = WorkQueues::new(threads);
     // Number the tasks in tree order — split joins and the roots of
-    // maximal inline subtrees, whose node ranges tile `0..n` — and seed
-    // the initially ready ones, the inline subtrees, round-robin so every
-    // worker starts with local work. (With per-node scheduling these are
-    // exactly the leaves.)
+    // maximal inline subtrees, whose node ranges tile `0..n` — and list
+    // the inline roots, the tasks ready from the start, in the same
+    // order. (With per-node scheduling these are exactly the leaves.)
     let mut task_of = vec![u32::MAX; n];
     let mut task_count = 0u32;
-    let mut next_worker = 0usize;
+    let mut roots = Vec::new();
     for i in 0..n {
         let inline_root = size[i] < cap
             && match parent.get(i).copied() {
@@ -531,12 +449,10 @@ pub(crate) fn try_parallel(
             task_count += 1;
         }
         if inline_root {
-            queues.push_local(next_worker % threads, i);
-            next_worker += 1;
+            roots.push(i);
         }
     }
     let tasks: Vec<OnceLock<TaskOut>> = (0..task_count).map(|_| OnceLock::new()).collect();
-    let remaining = AtomicUsize::new(n);
     let shared = SharedGov {
         limit: config.memory_limit,
         committed: AtomicUsize::new(0),
@@ -554,55 +470,42 @@ pub(crate) fn try_parallel(
         r: config.r_policy,
         l: config.l_policy.clone().map(|l| l.with_workers(1)),
     };
+    let next = AtomicUsize::new(0);
+    let ctx = WorkerCtx {
+        bin: &bin,
+        library,
+        config,
+        eff: &eff,
+        cache,
+        fps,
+        parent: &parent,
+        deps: &deps,
+        size: &size,
+        cap,
+        roots: &roots,
+        next: &next,
+        task_of: &task_of,
+        tasks: &tasks,
+        shared: &shared,
+        tracer,
+    };
 
     let enumerate_started = Instant::now();
-    let slots;
-    {
-        let bin = &bin;
-        let parent: &[usize] = &parent;
-        let deps: &[AtomicUsize] = &deps;
-        let size: &[usize] = &size;
-        let task_of: &[u32] = &task_of;
-        let tasks: &[OnceLock<TaskOut>] = &tasks;
-        let remaining = &remaining;
-        let queues = &queues;
-        let shared = &shared;
-        let eff = &eff;
-        slots = std::thread::scope(|scope| {
-            for w in 0..threads {
-                let ctx = WorkerCtx {
-                    bin,
-                    library,
-                    config,
-                    eff,
-                    cache,
-                    fps,
-                    parent,
-                    deps,
-                    size,
-                    cap,
-                    task_of,
-                    tasks,
-                    remaining,
-                    queues,
-                    shared,
-                    tracer,
-                };
-                let spawned = std::thread::Builder::new()
-                    .name(format!("fp-sched-{w}"))
-                    .spawn_scoped(scope, move || worker_loop(w, ctx));
-                if spawned.is_err() {
-                    // Could not grow the pool: stop whoever started and
-                    // let the serial path run the job.
-                    shared.request_fallback();
-                    break;
-                }
-            }
-            // The main thread only waits for the workers: meanwhile it
-            // maps leaves to assignment slots for the frontier.
-            leaf_slots(tree)
-        });
-    }
+    let slots = std::thread::scope(|scope| {
+        let ctx = &ctx;
+        for w in 1..threads {
+            // A helper that cannot be spawned is simply absent: the
+            // other claim loops drain its share.
+            let _ = std::thread::Builder::new()
+                .name(format!("fp-sched-{w}"))
+                .spawn_scoped(scope, move || claim_loop(w, ctx));
+        }
+        // The caller maps leaves to assignment slots for the frontier
+        // while the helpers start, then claims tasks beside them.
+        let slots = leaf_slots(tree);
+        claim_loop(0, ctx);
+        slots
+    });
 
     // Non-rescuable trips (deadline, cancellation, broken invariants)
     // are final and reported directly; anything rescuable routes through
@@ -697,98 +600,98 @@ pub(crate) fn try_parallel(
     Frontier::from_parts(bin, Store { segs, blocks }, stats, slots).map(Some)
 }
 
-/// One worker: pop ready tasks, build their nodes, publish each task,
-/// then release its consuming split join.
-fn worker_loop(w: usize, ctx: WorkerCtx<'_>) {
+/// One worker (0 is the calling thread): claims the next inline task,
+/// builds and publishes it, then builds every split join its tasks
+/// complete. Returns when nothing is left to claim, or when the run
+/// aborts.
+fn claim_loop(w: usize, ctx: &WorkerCtx<'_>) {
     let tc = TraceCtx {
         tracer: ctx.tracer,
-        worker: w as u32 + 1,
+        worker: w as u32,
     };
     let mut scratch = Scratch::default();
-    let mut idle_spins = 0u32;
-    loop {
-        if ctx.shared.aborted() {
+    while !ctx.shared.aborted() {
+        // Relaxed: the counter hands out indices and publishes nothing;
+        // `roots` is written before any helper starts.
+        let Some(&root) = ctx.roots.get(ctx.next.fetch_add(1, Ordering::Relaxed)) else {
             return;
-        }
-        let Some(index) = ctx.queues.pop(w, tc) else {
-            if ctx.remaining.load(Ordering::Acquire) == 0 {
+        };
+        let mut index = root;
+        loop {
+            if !run_task(index, ctx, &mut scratch, tc) {
                 return;
             }
-            // Out of work but the run isn't done: a peer holds the
-            // frontier. Spin briefly, then back off.
-            idle_spins += 1;
-            if idle_spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            continue;
-        };
-        idle_spins = 0;
-        // An inline task executes its whole contiguous subtree range
-        // serially in post-order (children always precede parents); a
-        // split join's task is the single join node.
-        let task_size = ctx.size.get(index).copied().unwrap_or(1);
-        let lo = if task_size < ctx.cap {
-            if task_size > 1 {
-                tc.emit(TraceEvent::SplitInline {
-                    node: index as u32,
-                    nodes: task_size as u32,
-                });
-            }
-            index + 1 - task_size
-        } else {
-            index
-        };
-        let task = ctx.task_of.get(index).copied().unwrap_or(u32::MAX);
-        let Some(slot) = ctx.tasks.get(task as usize) else {
-            // Not a task root: a scheduling bug. The serial path still
-            // computes the right answer.
-            ctx.shared.request_fallback();
-            return;
-        };
-        let mut out = TaskOut {
-            lo,
-            cols: Columns::new(task),
-            blocks: Vec::with_capacity(index + 1 - lo),
-            acc: TaskAcc::default(),
-            nodes: Vec::new(),
-            hit_degradations: Vec::new(),
-        };
-        for i in lo..=index {
-            if let Err(trip) = build_node(i, &ctx, &mut out, &mut scratch, tc) {
-                if !is_abort(&trip) {
-                    if trip.is_rescuable() {
-                        // Defensive: workers do not produce rescuable
-                        // trips directly, but if one appears, the
-                        // serial path owns the rescue ladder.
-                        ctx.shared.request_fallback();
-                    } else {
-                        ctx.shared.record_trip(trip, i);
-                    }
-                }
-                return;
-            }
-        }
-        let committed = out.acc.committed;
-        if slot.set(out).is_err() {
-            // Double-build: a scheduling bug. The serial path still
-            // computes the right answer.
-            ctx.shared.request_fallback();
-            return;
-        }
-        ctx.shared.committed.fetch_add(committed, Ordering::Relaxed);
-        ctx.remaining.fetch_sub(index + 1 - lo, Ordering::AcqRel);
-        // The task is published: release the consuming split join.
-        let p = ctx.parent.get(index).copied().unwrap_or(usize::MAX);
-        if p != usize::MAX {
-            if let Some(dep) = ctx.deps.get(p) {
-                if dep.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    ctx.queues.push_local(w, p);
-                }
+            // The task is published: release the consuming split join,
+            // and build it next if this task was the last it waited on.
+            // The decrement releases this task's publication and the
+            // last one acquires its sibling's.
+            let p = ctx.parent.get(index).copied().unwrap_or(usize::MAX);
+            match ctx.deps.get(p) {
+                Some(dep) if dep.fetch_sub(1, Ordering::AcqRel) == 1 => index = p,
+                _ => break,
             }
         }
     }
+}
+
+/// Builds the task rooted at `index` — an inline subtree's whole
+/// post-order range, or one split join — and publishes it. `false`
+/// means the task was not published and the run is aborting.
+fn run_task(index: usize, ctx: &WorkerCtx<'_>, scratch: &mut Scratch, tc: TraceCtx<'_>) -> bool {
+    // An inline task executes its whole contiguous subtree range
+    // serially in post-order (children always precede parents); a
+    // split join's task is the single join node.
+    let task_size = ctx.size.get(index).copied().unwrap_or(1);
+    let lo = if task_size < ctx.cap {
+        if task_size > 1 {
+            tc.emit(TraceEvent::SplitInline {
+                node: index as u32,
+                nodes: task_size as u32,
+            });
+        }
+        index + 1 - task_size
+    } else {
+        index
+    };
+    let task = ctx.task_of.get(index).copied().unwrap_or(u32::MAX);
+    let Some(slot) = ctx.tasks.get(task as usize) else {
+        // Not a task root: a scheduling bug. The serial path still
+        // computes the right answer.
+        ctx.shared.request_fallback();
+        return false;
+    };
+    let mut out = TaskOut {
+        lo,
+        cols: Columns::new(task),
+        blocks: Vec::with_capacity(index + 1 - lo),
+        acc: TaskAcc::default(),
+        nodes: Vec::new(),
+        hit_degradations: Vec::new(),
+    };
+    for i in lo..=index {
+        if let Err(trip) = build_node(i, ctx, &mut out, scratch, tc) {
+            if !is_abort(&trip) {
+                if trip.is_rescuable() {
+                    // Defensive: workers do not produce rescuable
+                    // trips directly, but if one appears, the
+                    // serial path owns the rescue ladder.
+                    ctx.shared.request_fallback();
+                } else {
+                    ctx.shared.record_trip(trip, i);
+                }
+            }
+            return false;
+        }
+    }
+    let committed = out.acc.committed;
+    if slot.set(out).is_err() {
+        // Double-build: a scheduling bug. The serial path still
+        // computes the right answer.
+        ctx.shared.request_fallback();
+        return false;
+    }
+    ctx.shared.committed.fetch_add(committed, Ordering::Relaxed);
+    true
 }
 
 /// Builds node `index` of the running task `out` under a per-worker

@@ -1773,7 +1773,7 @@ fn optimize_reply(
             obj.u64("threads", eff.threads as u64);
             obj.bool("auto_serial", auto_serial);
             if let Some(l) = &eff.l_policy {
-                obj.u64("lred_workers", l.resolved_workers() as u64);
+                obj.u64("lred_workers", l.workers() as u64);
             }
             obj.u128("area", outcome.area);
             obj.u64("width", outcome.root_impl.w);
@@ -2453,7 +2453,7 @@ mod tests {
         let reply = handle_line(line, 1, &state, None);
         assert_eq!(reply.status, STATUS_OK, "{}", reply.json);
         assert!(reply.json.contains("\"threads\":1"), "{}", reply.json);
-        assert!(reply.json.contains("\"lred_workers\":"), "{}", reply.json);
+        assert!(reply.json.contains("\"lred_workers\":1,"), "{}", reply.json);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Structured observability for the floorplan optimizer.
 //!
-//! The engine's four execution regimes — serial, work-stealing parallel,
+//! The engine's four execution regimes — serial, tree-parallel,
 //! memoized, and the flat Monge CSPP kernel — each leave their own ad-hoc
 //! breadcrumbs (`RunStats` counters, degradation logs, cache statistics).
 //! This crate unifies them behind one *std-only, zero-dependency* event
@@ -10,12 +10,14 @@
 //!   buffers, drained post-run. When no subscriber is installed
 //!   ([`Tracer::unsubscribed`]) every emission is a single branch on a
 //!   pre-resolved boolean — cheap enough to leave the instrumentation
-//!   compiled in unconditionally (the overhead budget is ≤2%, enforced
-//!   by `trace_bench`);
+//!   compiled in unconditionally (the overhead budget is ≤2%, gated by
+//!   `fpbench trace`; the gate records `enforced: false` until a row
+//!   reaches its 10 ms floor);
 //! * a stable event vocabulary ([`TraceEvent`]) covering the whole
 //!   pipeline: joins, selections (with the CSPP solver kind that ran),
-//!   Monge-certification fallbacks, cache traffic, work steals, serial
-//!   replay discards, rescues, deadline trips, and phase spans;
+//!   Monge-certification fallbacks, cache traffic, inline scheduler
+//!   tasks, serial replay discards, rescues, deadline trips, and phase
+//!   spans;
 //! * two sinks: JSON-lines export ([`Trace::write_jsonl`]) and an
 //!   in-memory [`MetricsRegistry`] with Prometheus text rendering for
 //!   the batch server;
@@ -215,24 +217,6 @@ pub enum TraceEvent {
         /// Entries evicted since the previous snapshot.
         count: u64,
     },
-    /// A scheduler worker stole a node from another worker's deque.
-    Steal {
-        /// The thief.
-        worker: u32,
-        /// The victim whose deque was popped.
-        victim: u32,
-    },
-    /// A scheduler worker stole a batch of tasks from another worker's
-    /// deque in one sweep (granularity-aware stealing; single-task
-    /// steals emit [`TraceEvent::Steal`]).
-    StealBatch {
-        /// The thief.
-        worker: u32,
-        /// The victim whose deque was drained.
-        victim: u32,
-        /// Tasks moved in the sweep (always ≥ 2).
-        count: u32,
-    },
     /// A small subtree ran inline as one serial task instead of being
     /// split into per-node tasks (scheduler granularity control).
     SplitInline {
@@ -329,8 +313,6 @@ impl TraceEvent {
             TraceEvent::CacheHit { .. } => "cache_hit",
             TraceEvent::CacheMiss { .. } => "cache_miss",
             TraceEvent::CacheEvict { .. } => "cache_evict",
-            TraceEvent::Steal { .. } => "steal",
-            TraceEvent::StealBatch { .. } => "steal_batch",
             TraceEvent::SplitInline { .. } => "split_inline",
             TraceEvent::ReplayDiscard { .. } => "replay_discard",
             TraceEvent::Rescue { .. } => "rescue",
@@ -396,19 +378,6 @@ impl TraceEvent {
             }
             TraceEvent::CacheEvict { count } => {
                 let _ = write!(out, r#","count":{count}"#);
-            }
-            TraceEvent::Steal { worker, victim } => {
-                let _ = write!(out, r#","thief":{worker},"victim":{victim}"#);
-            }
-            TraceEvent::StealBatch {
-                worker,
-                victim,
-                count,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","thief":{worker},"victim":{victim},"count":{count}"#
-                );
             }
             TraceEvent::SplitInline { node, nodes } => {
                 let _ = write!(out, r#","node":{node},"nodes":{nodes}"#);
@@ -702,8 +671,6 @@ impl Trace {
                 TraceEvent::CacheHit { .. } => s.cache_hits += 1,
                 TraceEvent::CacheMiss { .. } => s.cache_misses += 1,
                 TraceEvent::CacheEvict { count } => s.cache_evictions += count,
-                TraceEvent::Steal { .. } => s.steals += 1,
-                TraceEvent::StealBatch { .. } => s.steal_batches += 1,
                 TraceEvent::SplitInline { .. } => s.split_inlines += 1,
                 TraceEvent::ReplayDiscard { .. } => s.replay_discards += 1,
                 TraceEvent::Rescue { .. } => s.rescues += 1,
@@ -763,9 +730,11 @@ pub struct TraceSummary {
     pub cache_misses: u64,
     /// Cache evictions.
     pub cache_evictions: u64,
-    /// Work steals between scheduler workers.
+    /// Work steals between scheduler workers. Always 0: the scheduler
+    /// claims tasks from one counter and steals none. Kept so the
+    /// summary's JSON keys and Prometheus counters stay stable.
     pub steals: u64,
-    /// Batched steals (one sweep moving several tasks).
+    /// Batched steals. Always 0, like [`TraceSummary::steals`].
     pub steal_batches: u64,
     /// Subtrees executed inline as one serial task.
     pub split_inlines: u64,
@@ -868,13 +837,7 @@ mod tests {
         let tracer = Tracer::new();
         tracer.emit(2, TraceEvent::CacheMiss { node: 1 });
         tracer.emit(0, TraceEvent::CacheHit { node: 2, len: 4 });
-        tracer.emit(
-            1,
-            TraceEvent::Steal {
-                worker: 1,
-                victim: 2,
-            },
-        );
+        tracer.emit(1, TraceEvent::SplitInline { node: 3, nodes: 5 });
         let trace = tracer.drain();
         assert_eq!(trace.events.len(), 3);
         assert!(trace.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));

@@ -280,7 +280,7 @@ fn parallel_policy_is_equivalent_in_engine() {
         .with_l_selection(
             LReductionPolicy::new(200)
                 .with_prefilter(2000)
-                .with_parallel(true),
+                .with_workers(2),
         );
     let a = optimize(&bench.tree, &lib, &base).expect("runs");
     let b = optimize(&bench.tree, &lib, &par).expect("runs");

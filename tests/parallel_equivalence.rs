@@ -36,7 +36,7 @@ fn config(k1: usize, k2: usize, theta: f64, parallel: bool) -> OptimizeConfig {
         .with_l_selection(
             LReductionPolicy::new(k2)
                 .with_theta(theta)
-                .with_parallel(parallel),
+                .with_workers(if parallel { 2 } else { 1 }),
         )
 }
 
@@ -93,7 +93,9 @@ proptest! {
 
         let tight = |parallel: bool| {
             OptimizeConfig::default()
-                .with_l_selection(LReductionPolicy::new(64).with_parallel(parallel))
+                .with_l_selection(
+                    LReductionPolicy::new(64).with_workers(if parallel { 4 } else { 1 }),
+                )
                 .with_memory_limit(Some(budget))
                 .with_auto_rescue(true)
         };

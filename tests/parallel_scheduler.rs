@@ -138,11 +138,7 @@ fn thread_sweep_with_selection_policies() {
         let config = |threads: usize| {
             OptimizeConfig::default()
                 .with_r_selection(12)
-                .with_l_selection(
-                    LReductionPolicy::new(24)
-                        .with_theta(0.8)
-                        .with_parallel(true),
-                )
+                .with_l_selection(LReductionPolicy::new(24).with_theta(0.8).with_workers(2))
                 .with_threads(threads)
                 .with_split_threshold(4)
         };
@@ -464,5 +460,69 @@ fn mega_instance_budget_and_fault_boundaries_match_serial() {
                 ),
             }
         }
+    }
+}
+
+/// A clean run keeps its parallel pass. The serial fallback reproduces
+/// every result byte for byte, so no determinism check above would
+/// notice a scheduler that always falls back; the trace does. Only a
+/// committed parallel pass emits the `replay` phase span, and a
+/// discarded one emits `replay_discard`. The runs: the 10k-module mega
+/// instance at the derived task size on 2 and 4 threads and on 2
+/// threads with a shared block cache, and FP4 at split threshold 0,
+/// where every join is a task of its own, built by the worker that
+/// publishes its second child.
+#[test]
+fn clean_parallel_runs_commit_the_parallel_pass() {
+    use fp_optimizer::{PhaseName, TraceEvent, Tracer};
+    use fp_tree::mega::{mega_floorplan, mega_library, MegaConfig};
+    let cfg = MegaConfig::new(10_000).with_seed(42);
+    let mega = mega_floorplan(&cfg);
+    let mega_lib = mega_library(&mega.tree, &cfg);
+    let fp4 = generators::fp4();
+    let fp4_lib = generators::module_library(&fp4.tree, 4, 7);
+    let cache = SharedBlockCache::new(64 << 20);
+    let at = |threads: usize| OptimizeConfig::default().with_threads(threads);
+    let runs = [
+        ("mega-10k @2", &mega, &mega_lib, at(2), false),
+        ("mega-10k @4", &mega, &mega_lib, at(4), false),
+        ("mega-10k @2 cached", &mega, &mega_lib, at(2), true),
+        (
+            "fp4 @2/split 0",
+            &fp4,
+            &fp4_lib,
+            at(2).with_split_threshold(0),
+            false,
+        ),
+    ];
+    for (label, bench, lib, config, cached) in runs {
+        let tracer = Tracer::with_capacity(1 << 20);
+        let mut run = Optimizer::new(&bench.tree, lib)
+            .config(&config)
+            .tracer(&tracer);
+        if cached {
+            run = run.cache(&cache);
+        }
+        run.run_frontier().expect("clean run solves");
+        let trace = tracer.drain();
+        assert_eq!(trace.dropped, 0, "{label}: dropped events");
+        let count =
+            |pick: fn(&TraceEvent) -> bool| trace.events.iter().filter(|r| pick(&r.event)).count();
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::ReplayDiscard { .. })),
+            0,
+            "{label}: replay discards"
+        );
+        assert_eq!(
+            count(|e| matches!(
+                e,
+                TraceEvent::Phase {
+                    name: PhaseName::Replay,
+                    ..
+                }
+            )),
+            1,
+            "{label}: replay phase spans"
+        );
     }
 }
