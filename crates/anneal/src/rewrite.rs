@@ -58,7 +58,7 @@ pub fn wheel_rewrite(
     loop {
         let mut best: Option<(u128, FloorplanTree)> = None;
         for node in 0..current.len() {
-            let Some(kind) = current.node(node).map(|n| &n.kind) else {
+            let Some(kind) = current.node(node).map(|n| n.kind) else {
                 continue;
             };
             if matches!(kind, NodeKind::Leaf(_) | NodeKind::Wheel(_)) {

@@ -158,8 +158,8 @@ fn move_sequence(
     let leaves = tree.leaves_in_order();
     let counts: Vec<usize> = leaves
         .iter()
-        .map(|&leaf| match tree.node(leaf).map(|n| &n.kind) {
-            Some(&NodeKind::Leaf(m)) => library
+        .map(|&leaf| match tree.node(leaf).map(|n| n.kind) {
+            Some(NodeKind::Leaf(m)) => library
                 .get(m)
                 .map_or(1, |module| module.implementations().len().max(1)),
             _ => 1,
@@ -175,8 +175,8 @@ fn move_sequence(
     for _ in 0..moves {
         let slot = rng.gen_range(0..leaves.len());
         let choice = rng.gen_range(0..counts[slot]);
-        let module = match tree.node(leaves[slot]).map(|n| &n.kind) {
-            Some(&NodeKind::Leaf(m)) => m,
+        let module = match tree.node(leaves[slot]).map(|n| n.kind) {
+            Some(NodeKind::Leaf(m)) => m,
             _ => continue,
         };
         let Some(size) = library

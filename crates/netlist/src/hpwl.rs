@@ -235,8 +235,8 @@ impl<'a> HpwlEvaluator<'a> {
         }
         self.stack_scratch = stack;
         for (leaf, rect) in &layout.placed {
-            let module = match tree.node(*leaf).map(|n| &n.kind) {
-                Some(&NodeKind::Leaf(m)) => m,
+            let module = match tree.node(*leaf).map(|n| n.kind) {
+                Some(NodeKind::Leaf(m)) => m,
                 _ => continue,
             };
             if module >= self.placements.len() {

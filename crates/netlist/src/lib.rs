@@ -79,8 +79,8 @@ mod proptests {
                 let module_impls = {
                     use fp_tree::NodeKind;
                     let leaf = bench.tree.leaves_in_order()[slot];
-                    match bench.tree.node(leaf).map(|n| &n.kind) {
-                        Some(&NodeKind::Leaf(m)) => library[m].implementations().len(),
+                    match bench.tree.node(leaf).map(|n| n.kind) {
+                        Some(NodeKind::Leaf(m)) => library[m].implementations().len(),
                         _ => 1,
                     }
                 };

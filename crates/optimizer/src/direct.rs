@@ -97,7 +97,7 @@ fn solve(
                 CutDir::Horizontal => Compose::Stack,
             };
             let mut kids = Vec::new();
-            for &child in &node.children {
+            for &child in node.children {
                 kids.push(solve(tree, library, child, cap)?);
             }
             let mut acc = kids.remove(0);
@@ -118,7 +118,7 @@ fn solve(
         }
         NodeKind::Wheel(_) => {
             let mut kids = Vec::new();
-            for &child in &node.children {
+            for &child in node.children {
                 kids.push(solve(tree, library, child, cap)?);
             }
             let combos = kids.iter().map(|k| k.list.len() as u64).product::<u64>();

@@ -86,11 +86,11 @@ use std::time::{Duration, Instant};
 
 use fp_tree::format::{parse_instance, FloorplanInstance};
 use fp_tree::generators;
-use fp_tree::ModuleLibrary;
+use fp_tree::{FloorplanTree, ModuleLibrary};
 
 use crate::cache::{shared_cache, shared_cache_stats, SharedBlockCache};
 use crate::engine::{Objective, OptError, OptimizeConfig, Optimizer, RunOutcome};
-use crate::exec::Executor;
+use crate::exec::{Executor, Lease};
 use crate::governor::CancelToken;
 use crate::multi::CompositeObjective;
 use fp_netlist::{hypervolume, netlist_fingerprint, parse_netlist, random_netlist, Netlist};
@@ -1682,6 +1682,42 @@ fn config_for(
     config
 }
 
+/// A reply's config, resolved once for its tree.
+struct ReplyConfig {
+    /// Spare executor threads held for the run; dropping it returns them.
+    _lease: Option<Lease>,
+    /// The config the run executes with.
+    run: OptimizeConfig,
+    /// The request-resolved config the reply echoes.
+    echoed: OptimizeConfig,
+    /// Whether the tree's size resolved the request to the serial path.
+    auto_serial: bool,
+}
+
+/// Resolves `config` for `tree`. With an executor attached,
+/// intra-request tree parallelism is leased from its spare capacity:
+/// the run may execute on fewer threads than requested when the pool is
+/// busy, but the echoed `threads`/`auto_serial` stay request-resolved —
+/// results are byte-identical at any thread count, so leasing changes
+/// speed only.
+fn reply_config(config: OptimizeConfig, tree: &FloorplanTree, state: &ServeState) -> ReplyConfig {
+    let echoed = config.resolve_for(tree);
+    let auto_serial = config.auto_serial_for(tree.module_count());
+    let lease = state
+        .executor()
+        .map(|exec| exec.lease(echoed.threads.saturating_sub(1)));
+    let run = match &lease {
+        Some(lease) => config.with_threads(echoed.threads.min(1 + lease.granted())),
+        None => config,
+    };
+    ReplyConfig {
+        _lease: lease,
+        run,
+        echoed,
+        auto_serial,
+    }
+}
+
 fn optimize_reply(
     id: Option<&RequestId>,
     line_no: u64,
@@ -1716,28 +1752,13 @@ fn optimize_reply(
         // area-only runs of the same policy.
         config = config.with_extra_salt(netlist_fingerprint(netlist));
     }
-    // With an executor attached, intra-request tree parallelism is
-    // leased from its spare capacity: the run may execute on fewer
-    // threads than requested when the pool is busy, but the echoed
-    // `threads`/`auto_serial` below stay request-resolved — results are
-    // byte-identical at any thread count, so leasing changes speed only.
-    let lease = state.executor().map(|exec| {
-        let wanted = config.resolve_for(&instance.tree).threads;
-        exec.lease(wanted.saturating_sub(1))
-    });
-    let run_config = match &lease {
-        Some(lease) => {
-            let wanted = config.resolve_for(&instance.tree).threads;
-            config.clone().with_threads(wanted.min(1 + lease.granted()))
-        }
-        None => config.clone(),
-    };
+    let resolved = reply_config(config, &instance.tree, state);
     // Every optimize request runs under a subscribed tracer: the drained
     // summary feeds the reply's `trace_summary` and the server-lifetime
     // metrics registry (so the two always reconcile).
     let tracer = Tracer::new();
     let optimizer = Optimizer::new(&instance.tree, &instance.library)
-        .config(&run_config)
+        .config(&resolved.run)
         .cache(state.cache())
         .tracer(&tracer);
     let result = match &bound {
@@ -1762,17 +1783,13 @@ fn optimize_reply(
     };
     let summary = tracer.drain().summary();
     state.metrics().absorb(&summary);
-    // `resolve_for` folds in the tree-aware auto-serial decision, so the
-    // echoed thread count is the one the run actually executed with.
-    let auto_serial = config.auto_serial_for(instance.tree.module_count());
-    let eff = config.resolve_for(&instance.tree);
     match result {
         Ok((RunOutcome { outcome, rescued }, hpwl)) => {
             let mut obj = response_head(id, line_no, STATUS_OK);
             obj.str("instance", &instance.name);
-            obj.u64("threads", eff.threads as u64);
-            obj.bool("auto_serial", auto_serial);
-            if let Some(l) = &eff.l_policy {
+            obj.u64("threads", resolved.echoed.threads as u64);
+            obj.bool("auto_serial", resolved.auto_serial);
+            if let Some(l) = &resolved.echoed.l_policy {
                 obj.u64("lred_workers", l.workers() as u64);
             }
             obj.u128("area", outcome.area);
@@ -1885,30 +1902,16 @@ fn pareto_reply(
     };
     let config = config_for(req, cancel, state.default_threads())
         .with_extra_salt(netlist_fingerprint(&netlist));
-    // Same lease discipline as `optimize_reply`: borrowed pool capacity
-    // caps the actual thread count, never the echoed one.
-    let lease = state.executor().map(|exec| {
-        let wanted = config.resolve_for(&instance.tree).threads;
-        exec.lease(wanted.saturating_sub(1))
-    });
-    let run_config = match &lease {
-        Some(lease) => {
-            let wanted = config.resolve_for(&instance.tree).threads;
-            config.clone().with_threads(wanted.min(1 + lease.granted()))
-        }
-        None => config.clone(),
-    };
+    let resolved = reply_config(config, &instance.tree, state);
     let tracer = Tracer::new();
     let result = Optimizer::new(&instance.tree, &instance.library)
-        .config(&run_config)
+        .config(&resolved.run)
         .cache(state.cache())
         .tracer(&tracer)
         .run_pareto(&bound);
     let summary = tracer.drain().summary();
     state.metrics().absorb(&summary);
     state.pareto_requests.fetch_add(1, Ordering::Relaxed);
-    let auto_serial = config.auto_serial_for(instance.tree.module_count());
-    let eff = config.resolve_for(&instance.tree);
     match result {
         Ok(pareto) => {
             state
@@ -1936,8 +1939,8 @@ fn pareto_reply(
             front_json.push(']');
             let mut obj = response_head(id, line_no, STATUS_OK);
             obj.str("instance", &instance.name);
-            obj.u64("threads", eff.threads as u64);
-            obj.bool("auto_serial", auto_serial);
+            obj.u64("threads", resolved.echoed.threads as u64);
+            obj.bool("auto_serial", resolved.auto_serial);
             obj.u64("front_size", pareto.front.len() as u64);
             obj.u64("evaluated", pareto.evaluated as u64);
             obj.raw("front", &front_json);

@@ -63,9 +63,9 @@ pub fn layout_to_svg(
         let w = r.size.w as f64 * scale;
         let h = r.size.h as f64 * scale;
         let fill = PALETTE[ord % PALETTE.len()];
-        let label = match tree.node(leaf).map(|n| &n.kind) {
+        let label = match tree.node(leaf).map(|n| n.kind) {
             Some(NodeKind::Leaf(m)) => library
-                .get(*m)
+                .get(m)
                 .map_or_else(|| format!("leaf{leaf}"), |module| module.name().to_owned()),
             _ => format!("leaf{leaf}"),
         };
@@ -126,7 +126,7 @@ pub fn tree_to_dot(tree: &FloorplanTree, library: &ModuleLibrary) -> String {
             ),
         };
         let _ = writeln!(dot, "  n{id} [label=\"{label}\", shape={shape}];");
-        for &c in &node.children {
+        for &c in node.children {
             let _ = writeln!(dot, "  n{id} -> n{c};");
         }
     }

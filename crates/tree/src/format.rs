@@ -550,7 +550,7 @@ fn write_expr(
                 CutDir::Horizontal => "(hsplit",
                 CutDir::Vertical => "(vsplit",
             });
-            for &c in &node.children {
+            for &c in node.children {
                 out.push(' ');
                 write_expr(instance, c, out)?;
             }
@@ -561,7 +561,7 @@ fn write_expr(
                 Chirality::Clockwise => "(wheel cw",
                 Chirality::Counterclockwise => "(wheel ccw",
             });
-            for &c in &node.children {
+            for &c in node.children {
                 out.push(' ');
                 write_expr(instance, c, out)?;
             }
@@ -825,18 +825,20 @@ tree (hsplit (vsplit cpu ram) io)
 
     #[test]
     fn generated_benchmarks_round_trip() {
-        // Convert a generated benchmark into an instance and round-trip it.
-        let bench = crate::generators::fp1();
-        let library = crate::generators::module_library(&bench.tree, 3, 5);
-        let inst = FloorplanInstance {
-            name: bench.name.clone(),
-            tree: bench.tree,
-            library,
-        };
-        let text = write_instance(&inst).expect("writable");
-        let reparsed = parse_instance(&text).expect("round-trips");
-        assert_eq!(reparsed.tree.module_count(), 25);
-        assert_eq!(reparsed.library.len(), 25);
+        // The generators build in post-order, as the parser does, so a
+        // round trip gives back the same tree and the same text.
+        for bench in crate::generators::fixed_test_trees() {
+            let library = crate::generators::module_library(&bench.tree, 3, 5);
+            let inst = FloorplanInstance {
+                name: bench.name,
+                tree: bench.tree,
+                library,
+            };
+            let text = write_instance(&inst).expect("writable");
+            let parsed = parse_instance(&text).expect("round-trips");
+            assert_eq!(write_instance(&parsed).as_ref(), Ok(&text), "{}", inst.name);
+            assert_eq!(parsed.tree, inst.tree, "{}", inst.name);
+        }
     }
 
     #[test]

@@ -174,6 +174,25 @@ pub fn paper_benchmarks() -> Vec<Benchmark> {
     vec![fp1(), fp2(), fp3(), fp4()]
 }
 
+/// FIG1, FP1–FP4 and a 2,500-module mega tree per depth profile: the
+/// fixed trees the byte-identity tests run on.
+#[cfg(test)]
+pub(crate) fn fixed_test_trees() -> Vec<Benchmark> {
+    use crate::mega::{mega_floorplan, DepthProfile, MegaConfig};
+    let mut benches = vec![fig1()];
+    benches.extend(paper_benchmarks());
+    for profile in [
+        DepthProfile::Balanced,
+        DepthProfile::Deep,
+        DepthProfile::Wide,
+    ] {
+        benches.push(mega_floorplan(
+            &MegaConfig::new(2_500).with_profile(profile),
+        ));
+    }
+    benches
+}
+
 fn chirality_for(i: usize) -> Chirality {
     if i.is_multiple_of(2) {
         Chirality::Clockwise

@@ -348,7 +348,7 @@ fn place(
                 // Children anchored at cumulative offsets of their minimal
                 // extent along the cut axis; they span the region across it.
                 let mut offset: Coord = 0;
-                for &c in &node.children {
+                for &c in node.children {
                     match dir {
                         CutDir::Vertical => {
                             stack.push((

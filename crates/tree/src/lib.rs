@@ -8,7 +8,9 @@
 //!   non-redundant implementations, plus seeded generators.
 //! * [`FloorplanTree`] — the hierarchical description: slicing nodes
 //!   (horizontal/vertical cut lines, any arity) and order-5 **wheel** nodes
-//!   (the smallest non-slicing pattern), over module leaves.
+//!   (the smallest non-slicing pattern), over module leaves. It is stored
+//!   flat — one [`NodeKind`] per node and every child id in one array —
+//!   and [`FloorplanTree::node`] lends a node as a [`Node`] view.
 //! * [`restructure`] — the Figure-3 transformation of a floorplan tree `T`
 //!   into a binary tree `T'` whose internal nodes are rectangular or
 //!   L-shaped blocks, the form the bottom-up optimizer consumes.
@@ -47,7 +49,6 @@ pub mod mega;
 mod module;
 pub mod ost;
 pub mod restructure;
-pub mod soa;
 mod tree;
 pub mod wheel;
 

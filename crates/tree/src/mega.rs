@@ -23,7 +23,7 @@
 use fp_prng::StdRng;
 
 use crate::generators::Benchmark;
-use crate::{Chirality, CutDir, FloorplanTree, ModuleLibrary, NodeKind};
+use crate::{Chirality, CutDir, FloorplanTree, ModuleLibrary};
 
 /// Shape of the generated hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -409,24 +409,24 @@ pub fn mega_family() -> Vec<(&'static str, MegaConfig)> {
     ]
 }
 
-/// The number of leaves in a benchmark whose module ids must be
-/// sequential (generator invariant check helper, used by tests).
-#[must_use]
-pub fn sequential_module_count(tree: &FloorplanTree) -> usize {
-    let leaves = tree.leaves_in_order();
-    for (expect, &id) in leaves.iter().enumerate() {
-        match tree.node(id).map(|n| &n.kind) {
-            Some(&NodeKind::Leaf(m)) if m == expect => {}
-            _ => return 0,
-        }
-    }
-    leaves.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::restructure::restructure;
+    use crate::NodeKind;
+
+    /// The number of leaves if their module ids run `0, 1, …` in
+    /// canonical leaf order, else 0.
+    fn sequential_module_count(tree: &FloorplanTree) -> usize {
+        let leaves = tree.leaves_in_order();
+        for (expect, &id) in leaves.iter().enumerate() {
+            match tree.node(id).map(|n| n.kind) {
+                Some(NodeKind::Leaf(m)) if m == expect => {}
+                _ => return 0,
+            }
+        }
+        leaves.len()
+    }
 
     #[test]
     fn smoke_sizes_and_validity() {

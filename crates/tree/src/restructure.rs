@@ -19,7 +19,6 @@
 
 use fp_shape::combine::Compose;
 
-use crate::soa::SoaTree;
 use crate::{CutDir, FloorplanTree, ModuleId, NodeId, NodeKind, TreeError};
 
 /// Identifier of a node within a [`BinaryTree`] arena.
@@ -145,30 +144,25 @@ impl BinaryTree {
 /// Returns the [`TreeError`] from [`FloorplanTree::validate`] if the input
 /// is malformed.
 pub fn restructure(tree: &FloorplanTree) -> Result<BinaryTree, TreeError> {
+    tree.validate()?;
     let mut out = BinaryTree {
         nodes: Vec::with_capacity(tree.len() * 2),
     };
-    // The SoA conversion performs the full validation, and the build walk
-    // below then runs over the flat CSR arrays instead of chasing one
-    // child `Vec` allocation per node — the difference is noise on FP1–4
-    // but dominates restructuring time on mega-scale trees.
-    let soa = SoaTree::from_tree(tree)?;
-    if soa.is_empty() {
-        return Ok(out);
+    if !tree.is_empty() {
+        build(tree, &mut out);
     }
-    build(&soa, soa.root(), &mut out);
     Ok(out)
 }
 
-/// Emits the binary nodes for the subtree at `root`, iteratively (an
+/// Emits the binary nodes of a valid, non-empty tree, iteratively (an
 /// explicit task stack keeps arbitrarily deep floorplans from exhausting
 /// the call stack).
-fn build(tree: &SoaTree, root: NodeId, out: &mut BinaryTree) {
+fn build(tree: &FloorplanTree, out: &mut BinaryTree) {
     enum Task {
         Visit(NodeId),
         Emit(BinOp),
     }
-    let mut tasks = vec![Task::Visit(root)];
+    let mut tasks = vec![Task::Visit(tree.root())];
     let mut values: Vec<BinId> = Vec::new();
     while let Some(task) = tasks.pop() {
         match task {
@@ -179,7 +173,8 @@ fn build(tree: &SoaTree, root: NodeId, out: &mut BinaryTree) {
                 values.push(out.nodes.len() - 1);
             }
             Task::Visit(id) => {
-                match tree.kind(id) {
+                let node = tree.node(id).expect("validated tree");
+                match node.kind {
                     NodeKind::Leaf(module) => {
                         out.nodes.push(BinNode::Leaf {
                             tree_leaf: id,
@@ -192,27 +187,27 @@ fn build(tree: &SoaTree, root: NodeId, out: &mut BinaryTree) {
                             CutDir::Vertical => Compose::Beside,
                             CutDir::Horizontal => Compose::Stack,
                         };
-                        let children = tree.node_children(id);
+                        let children = node.children;
                         // Execution order: visit c0, then for each further
                         // child visit it and emit a join. Push in reverse.
                         for &child in children[1..].iter().rev() {
                             tasks.push(Task::Emit(BinOp::Slice(how)));
-                            tasks.push(Task::Visit(child as NodeId));
+                            tasks.push(Task::Visit(child));
                         }
-                        tasks.push(Task::Visit(children[0] as NodeId));
+                        tasks.push(Task::Visit(children[0]));
                     }
                     NodeKind::Wheel(_) => {
                         // (((A ⊕ E) ⊕ B) ⊕ C) ⊕ D, pushed in reverse.
-                        let c = tree.node_children(id);
+                        let c = node.children;
                         tasks.push(Task::Emit(BinOp::WheelS4));
-                        tasks.push(Task::Visit(c[3] as NodeId));
+                        tasks.push(Task::Visit(c[3]));
                         tasks.push(Task::Emit(BinOp::WheelS3));
-                        tasks.push(Task::Visit(c[2] as NodeId));
+                        tasks.push(Task::Visit(c[2]));
                         tasks.push(Task::Emit(BinOp::WheelS2));
-                        tasks.push(Task::Visit(c[1] as NodeId));
+                        tasks.push(Task::Visit(c[1]));
                         tasks.push(Task::Emit(BinOp::WheelS1));
-                        tasks.push(Task::Visit(c[4] as NodeId));
-                        tasks.push(Task::Visit(c[0] as NodeId));
+                        tasks.push(Task::Visit(c[4]));
+                        tasks.push(Task::Visit(c[0]));
                     }
                 }
             }
@@ -360,88 +355,69 @@ mod tests {
         assert!(b.is_empty());
     }
 
-    /// The pointer-chasing build [`build`] replaced, kept as an oracle:
-    /// it walks the node tree's child `Vec`s instead of the SoA arrays
-    /// and must emit exactly the same node sequence.
-    fn build_ptr(tree: &FloorplanTree, root: NodeId, out: &mut BinaryTree) {
-        enum Task {
-            Visit(NodeId),
-            Emit(BinOp),
-        }
-        let mut tasks = vec![Task::Visit(root)];
-        let mut values: Vec<BinId> = Vec::new();
-        while let Some(task) = tasks.pop() {
-            match task {
-                Task::Emit(op) => {
-                    let right = values.pop().expect("emit follows two visits");
-                    let left = values.pop().expect("emit follows two visits");
-                    out.nodes.push(BinNode::Join { op, left, right });
-                    values.push(out.nodes.len() - 1);
+    /// Figure 3 written as a recursion, independent of [`build`]'s task
+    /// stack: a slice is a left-deep chain over its children, and a wheel
+    /// `[A, B, C, D, E]` is `(((A ⊕ E) ⊕ B) ⊕ C) ⊕ D`.
+    fn figure3(tree: &FloorplanTree) -> Vec<BinNode> {
+        fn emit(tree: &FloorplanTree, id: NodeId, out: &mut Vec<BinNode>) -> BinId {
+            let node = tree.node(id).expect("valid tree");
+            let (first, rest): (NodeId, Vec<(BinOp, NodeId)>) = match node.kind {
+                NodeKind::Leaf(module) => {
+                    out.push(BinNode::Leaf {
+                        tree_leaf: id,
+                        module,
+                    });
+                    return out.len() - 1;
                 }
-                Task::Visit(id) => {
-                    let node = tree.node(id).expect("validated tree");
-                    match &node.kind {
-                        NodeKind::Leaf(module) => {
-                            out.nodes.push(BinNode::Leaf {
-                                tree_leaf: id,
-                                module: *module,
-                            });
-                            values.push(out.nodes.len() - 1);
-                        }
-                        NodeKind::Slice(dir) => {
-                            let how = match dir {
-                                CutDir::Vertical => Compose::Beside,
-                                CutDir::Horizontal => Compose::Stack,
-                            };
-                            for &child in node.children[1..].iter().rev() {
-                                tasks.push(Task::Emit(BinOp::Slice(how)));
-                                tasks.push(Task::Visit(child));
-                            }
-                            tasks.push(Task::Visit(node.children[0]));
-                        }
-                        NodeKind::Wheel(_) => {
-                            let c = &node.children;
-                            tasks.push(Task::Emit(BinOp::WheelS4));
-                            tasks.push(Task::Visit(c[3]));
-                            tasks.push(Task::Emit(BinOp::WheelS3));
-                            tasks.push(Task::Visit(c[2]));
-                            tasks.push(Task::Emit(BinOp::WheelS2));
-                            tasks.push(Task::Visit(c[1]));
-                            tasks.push(Task::Emit(BinOp::WheelS1));
-                            tasks.push(Task::Visit(c[4]));
-                            tasks.push(Task::Visit(c[0]));
-                        }
-                    }
+                NodeKind::Slice(dir) => {
+                    let op = BinOp::Slice(match dir {
+                        CutDir::Vertical => Compose::Beside,
+                        CutDir::Horizontal => Compose::Stack,
+                    });
+                    let rest = node.children[1..].iter().map(|&c| (op, c)).collect();
+                    (node.children[0], rest)
                 }
+                NodeKind::Wheel(_) => {
+                    use BinOp::{WheelS1, WheelS2, WheelS3, WheelS4};
+                    let &[a, b, c, d, e] = node.children else {
+                        panic!("wheel {id} has {} children", node.children.len());
+                    };
+                    let stages = vec![(WheelS1, e), (WheelS2, b), (WheelS3, c), (WheelS4, d)];
+                    (a, stages)
+                }
+            };
+            let mut left = emit(tree, first, out);
+            for (op, child) in rest {
+                let right = emit(tree, child, out);
+                out.push(BinNode::Join { op, left, right });
+                left = out.len() - 1;
             }
+            left
         }
-        debug_assert_eq!(values.len(), 1, "one value remains: the root");
+        let mut out = Vec::new();
+        if !tree.is_empty() {
+            emit(tree, tree.root(), &mut out);
+        }
+        out
     }
 
-    /// [`restructure`] through the pointer walk: validation, then
-    /// [`build_ptr`].
-    fn restructure_ptr(tree: &FloorplanTree) -> Result<BinaryTree, TreeError> {
-        tree.validate()?;
-        let mut out = BinaryTree {
-            nodes: Vec::with_capacity(tree.len() * 2),
-        };
-        if !tree.is_empty() {
-            build_ptr(tree, tree.root(), &mut out);
+    #[test]
+    fn restructure_matches_figure3_on_benchmarks() {
+        for bench in crate::generators::fixed_test_trees() {
+            let bin = restructure(&bench.tree).expect("valid tree");
+            assert_eq!(bin.nodes(), figure3(&bench.tree), "{}", bench.name);
         }
-        Ok(out)
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// The pointer-chasing restructure and the SoA walk emit
-        /// bit-identical binary join sequences.
+        /// On random floorplans (wheels included) [`restructure`] emits
+        /// the Figure 3 recursion's node sequence. Runs on the default
+        /// config, so `PROPTEST_CASES` sets its size.
         #[test]
-        fn legacy_restructure_matches_soa(leaves in 2usize..40, seed in 0u64..1_000) {
+        fn restructure_matches_figure3(leaves in 2usize..40, seed in 0u64..1_000) {
             let bench = crate::generators::random_floorplan(leaves, 0.4, seed);
-            match (restructure_ptr(&bench.tree), restructure(&bench.tree)) {
-                (Ok(a), Ok(b)) => proptest::prop_assert_eq!(a.nodes(), b.nodes()),
-                (a, b) => proptest::prop_assert_eq!(a.err(), b.err()),
-            }
+            let bin = restructure(&bench.tree).expect("generated tree is valid");
+            proptest::prop_assert_eq!(bin.nodes(), figure3(&bench.tree).as_slice());
         }
     }
 }

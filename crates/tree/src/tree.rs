@@ -57,7 +57,7 @@ pub enum Chirality {
 /// For a counterclockwise wheel, mirror the picture about the vertical
 /// axis; the child order keeps the same meaning (`A` the column touching
 /// the left or right edge after mirroring, etc.).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A basic rectangle holding one module.
     Leaf(ModuleId),
@@ -67,13 +67,14 @@ pub enum NodeKind {
     Wheel(Chirality),
 }
 
-/// One node of the floorplan tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Node {
+/// One node of a [`FloorplanTree`], borrowed from the tree's flat
+/// storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node<'a> {
     /// What the node is.
     pub kind: NodeKind,
     /// Child node ids (empty for leaves).
-    pub children: Vec<NodeId>,
+    pub children: &'a [NodeId],
 }
 
 /// Errors reported by [`FloorplanTree`] validation.
@@ -142,7 +143,13 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// A hierarchical floorplan: an arena of [`Node`]s with a designated root.
+/// A hierarchical floorplan: a flat arena of nodes with a designated
+/// root.
+///
+/// Each node has a [`NodeKind`], and every child id sits in one shared
+/// array, grouped by parent in id order (compressed sparse rows), so a
+/// walk over the tree reads contiguous memory. [`FloorplanTree::node`]
+/// lends one node as a [`Node`] view.
 ///
 /// Build bottom-up with [`FloorplanTree::leaf`], [`FloorplanTree::slice`],
 /// and [`FloorplanTree::wheel`]; the last node added is the root unless
@@ -163,13 +170,25 @@ impl std::error::Error for TreeError {}
 /// let root = t.slice(CutDir::Horizontal, vec![row, c]);
 /// assert_eq!(t.root(), root);
 /// assert_eq!(t.module_count(), 3);
+/// assert_eq!(t.node(row).map(|n| n.children), Some(&[a, b][..]));
 /// t.validate()?;
 /// # Ok::<(), fp_tree::TreeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FloorplanTree {
-    nodes: Vec<Node>,
+    /// One kind per node.
+    kinds: Vec<NodeKind>,
+    /// Node `i`'s children are `child_ids[child_start[i]..child_start[i + 1]]`.
+    child_start: Vec<usize>,
+    /// Every child id, grouped by parent in node order.
+    child_ids: Vec<NodeId>,
     root: NodeId,
+}
+
+impl Default for FloorplanTree {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FloorplanTree {
@@ -177,40 +196,35 @@ impl FloorplanTree {
     #[must_use]
     pub fn new() -> Self {
         FloorplanTree {
-            nodes: Vec::new(),
+            kinds: Vec::new(),
+            child_start: vec![0],
+            child_ids: Vec::new(),
             root: 0,
         }
     }
 
-    fn push(&mut self, node: Node) -> NodeId {
-        self.nodes.push(node);
-        self.root = self.nodes.len() - 1;
+    fn push(&mut self, kind: NodeKind, children: &[NodeId]) -> NodeId {
+        self.kinds.push(kind);
+        self.child_ids.extend_from_slice(children);
+        self.child_start.push(self.child_ids.len());
+        self.root = self.kinds.len() - 1;
         self.root
     }
 
     /// Adds a leaf for `module` and returns its id.
     pub fn leaf(&mut self, module: ModuleId) -> NodeId {
-        self.push(Node {
-            kind: NodeKind::Leaf(module),
-            children: Vec::new(),
-        })
+        self.push(NodeKind::Leaf(module), &[])
     }
 
     /// Adds a slice node over `children` and returns its id.
     pub fn slice(&mut self, dir: CutDir, children: Vec<NodeId>) -> NodeId {
-        self.push(Node {
-            kind: NodeKind::Slice(dir),
-            children,
-        })
+        self.push(NodeKind::Slice(dir), &children)
     }
 
     /// Adds a wheel node over `children` (`[A, B, C, D, E]`) and returns
     /// its id.
     pub fn wheel(&mut self, chirality: Chirality, children: [NodeId; 5]) -> NodeId {
-        self.push(Node {
-            kind: NodeKind::Wheel(chirality),
-            children: children.to_vec(),
-        })
+        self.push(NodeKind::Wheel(chirality), &children)
     }
 
     /// The root node id (the last node added, unless overridden).
@@ -226,37 +240,47 @@ impl FloorplanTree {
     ///
     /// Panics if `root` is not a node of this tree.
     pub fn set_root(&mut self, root: NodeId) {
-        assert!(root < self.nodes.len(), "root {root} out of range");
+        assert!(root < self.len(), "root {root} out of range");
         self.root = root;
     }
 
     /// The node with the given id, if present.
     #[inline]
     #[must_use]
-    pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id)
+    pub fn node(&self, id: NodeId) -> Option<Node<'_>> {
+        let kind = *self.kinds.get(id)?;
+        Some(Node {
+            kind,
+            children: self.children(id),
+        })
+    }
+
+    /// The children of node `id`, which must be in range.
+    #[inline]
+    fn children(&self, id: NodeId) -> &[NodeId] {
+        &self.child_ids[self.child_start[id]..self.child_start[id + 1]]
     }
 
     /// Number of nodes (internal + leaves).
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// `true` if the tree has no nodes.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Number of leaves (= number of module instances).
     #[must_use]
     pub fn module_count(&self) -> usize {
-        self.nodes
+        self.kinds
             .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Leaf(_)))
+            .filter(|k| matches!(k, NodeKind::Leaf(_)))
             .count()
     }
 
@@ -266,16 +290,15 @@ impl FloorplanTree {
     pub fn leaves_in_order(&self) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
-        if self.nodes.is_empty() {
+        if self.is_empty() {
             return out;
         }
         // Depth-first, children left-to-right.
         while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if matches!(node.kind, NodeKind::Leaf(_)) {
+            if matches!(self.kinds[id], NodeKind::Leaf(_)) {
                 out.push(id);
             } else {
-                stack.extend(node.children.iter().rev());
+                stack.extend(self.children(id).iter().rev());
             }
         }
         out
@@ -284,14 +307,14 @@ impl FloorplanTree {
     /// The maximum depth (root = 1; empty tree = 0).
     #[must_use]
     pub fn depth(&self) -> usize {
-        if self.nodes.is_empty() {
+        if self.is_empty() {
             return 0;
         }
         let mut max = 0;
         let mut stack = vec![(self.root, 1usize)];
         while let Some((id, d)) = stack.pop() {
             max = max.max(d);
-            for &c in &self.nodes[id].children {
+            for &c in self.children(id) {
                 stack.push((c, d + 1));
             }
         }
@@ -300,40 +323,42 @@ impl FloorplanTree {
 
     /// Checks all structural invariants.
     ///
+    /// Faults are reported in a fixed order: the lowest node id with a
+    /// dangling child or a wrong arity (a dangling child first), then a
+    /// root that is some node's child, then the lowest id with several
+    /// parents, then the lowest id the root does not reach.
+    ///
     /// # Errors
     ///
     /// Returns the first violated [`TreeError`].
     pub fn validate(&self) -> Result<(), TreeError> {
-        if self.nodes.is_empty() {
+        let n = self.len();
+        if n == 0 {
             return Ok(());
         }
-        let n = self.nodes.len();
-        let mut parent_count = vec![0usize; n];
-        for (id, node) in self.nodes.iter().enumerate() {
-            for &c in &node.children {
+        // Parent counts saturate: only 0, 1 and "more" matter.
+        let mut parent_count = vec![0u8; n];
+        for (id, &kind) in self.kinds.iter().enumerate() {
+            let children = self.children(id);
+            for &c in children {
                 if c >= n {
                     return Err(TreeError::DanglingChild {
                         parent: id,
                         child: c,
                     });
                 }
-                parent_count[c] += 1;
+                parent_count[c] = parent_count[c].saturating_add(1);
             }
-            match node.kind {
-                NodeKind::Leaf(_) if !node.children.is_empty() => {
+            let arity = children.len();
+            match kind {
+                NodeKind::Leaf(_) if arity != 0 => {
                     return Err(TreeError::LeafWithChildren { node: id });
                 }
-                NodeKind::Slice(_) if node.children.len() < 2 => {
-                    return Err(TreeError::SliceTooSmall {
-                        node: id,
-                        arity: node.children.len(),
-                    });
+                NodeKind::Slice(_) if arity < 2 => {
+                    return Err(TreeError::SliceTooSmall { node: id, arity });
                 }
-                NodeKind::Wheel(_) if node.children.len() != 5 => {
-                    return Err(TreeError::WheelArity {
-                        node: id,
-                        arity: node.children.len(),
-                    });
+                NodeKind::Wheel(_) if arity != 5 => {
+                    return Err(TreeError::WheelArity { node: id, arity });
                 }
                 _ => {}
             }
@@ -351,7 +376,7 @@ impl FloorplanTree {
         let mut stack = vec![self.root];
         seen[self.root] = true;
         while let Some(id) = stack.pop() {
-            for &c in &self.nodes[id].children {
+            for &c in self.children(id) {
                 if !seen[c] {
                     seen[c] = true;
                     stack.push(c);
@@ -391,7 +416,7 @@ impl fmt::Display for FloorplanTree {
                 NodeKind::Wheel(Chirality::Clockwise) => writeln!(f, "{indent}wheel cw")?,
                 NodeKind::Wheel(Chirality::Counterclockwise) => writeln!(f, "{indent}wheel ccw")?,
             }
-            for &c in &node.children {
+            for &c in node.children {
                 go(tree, c, depth + 1, f)?;
             }
             Ok(())
@@ -454,10 +479,7 @@ mod tests {
         let mut bad = FloorplanTree::new();
         let a = bad.leaf(0);
         let b = bad.leaf(1);
-        bad.push(Node {
-            kind: NodeKind::Wheel(Chirality::Clockwise),
-            children: vec![a, b],
-        });
+        bad.push(NodeKind::Wheel(Chirality::Clockwise), &[a, b]);
         assert_eq!(
             bad.validate(),
             Err(TreeError::WheelArity { node: 2, arity: 2 })
@@ -499,6 +521,106 @@ mod tests {
                 child: 99
             })
         );
+    }
+
+    #[test]
+    fn leaf_with_children_rejected() {
+        let mut t = FloorplanTree::new();
+        let a = t.leaf(0);
+        t.push(NodeKind::Leaf(1), &[a]);
+        assert_eq!(t.validate(), Err(TreeError::LeafWithChildren { node: 1 }));
+    }
+
+    #[test]
+    fn root_that_is_a_child_rejected() {
+        let mut t = FloorplanTree::new();
+        let a = t.leaf(0);
+        let b = t.leaf(1);
+        t.slice(CutDir::Vertical, vec![a, b]);
+        t.set_root(a);
+        assert_eq!(t.validate(), Err(TreeError::NotATree { node: a }));
+    }
+
+    /// On trees with two faults, the one the documented order puts first
+    /// is reported.
+    #[test]
+    fn validation_reports_faults_in_order() {
+        // A dangling child comes before its own node's arity fault.
+        let mut t = FloorplanTree::new();
+        t.slice(CutDir::Vertical, vec![99]);
+        assert_eq!(
+            t.validate(),
+            Err(TreeError::DanglingChild {
+                parent: 0,
+                child: 99
+            })
+        );
+
+        // The lowest id's arity fault comes before a later dangling child
+        // and before the node it shares (0 and 1 have two parents).
+        let mut t = FloorplanTree::new();
+        let a = t.leaf(0);
+        let b = t.leaf(1);
+        let s = t.slice(CutDir::Vertical, vec![a, b]);
+        t.push(NodeKind::Wheel(Chirality::Clockwise), &[a, b]);
+        t.slice(CutDir::Horizontal, vec![s, 99]);
+        assert_eq!(
+            t.validate(),
+            Err(TreeError::WheelArity { node: 3, arity: 2 })
+        );
+
+        // The lowest id's dangling child comes before a later arity fault
+        // and before a shared node.
+        let mut t = FloorplanTree::new();
+        let a = t.leaf(0);
+        let b = t.leaf(1);
+        t.slice(CutDir::Vertical, vec![a, 99]);
+        t.slice(CutDir::Vertical, vec![b]);
+        t.slice(CutDir::Horizontal, vec![a, b]);
+        assert_eq!(
+            t.validate(),
+            Err(TreeError::DanglingChild {
+                parent: 2,
+                child: 99
+            })
+        );
+
+        // The lowest shared node is reported, but a root with a parent
+        // comes before it.
+        let mut t = FloorplanTree::new();
+        let a = t.leaf(0);
+        let b = t.leaf(1);
+        let s = t.slice(CutDir::Vertical, vec![a, b]);
+        t.slice(CutDir::Horizontal, vec![a, s]);
+        assert_eq!(t.validate(), Err(TreeError::NotATree { node: a }));
+        t.set_root(s);
+        assert_eq!(t.validate(), Err(TreeError::NotATree { node: s }));
+
+        // A shared node comes before an unreachable one.
+        let mut t = FloorplanTree::new();
+        let a = t.leaf(0);
+        let b = t.leaf(1);
+        let s = t.slice(CutDir::Vertical, vec![a, b]);
+        let _orphan = t.leaf(2);
+        t.slice(CutDir::Horizontal, vec![b, s]);
+        assert_eq!(t.validate(), Err(TreeError::NotATree { node: b }));
+    }
+
+    #[test]
+    fn node_views_lend_kind_and_children() {
+        let t = figure1_tree();
+        assert_eq!(
+            t.node(2),
+            Some(Node {
+                kind: NodeKind::Slice(CutDir::Vertical),
+                children: &[0, 1],
+            })
+        );
+        assert_eq!(
+            t.node(3).map(|n| (n.kind, n.children.len())),
+            Some((NodeKind::Leaf(2), 0))
+        );
+        assert_eq!(t.node(t.len()), None);
     }
 
     #[test]
