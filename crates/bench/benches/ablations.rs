@@ -65,33 +65,5 @@ fn bench_metric(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the global cross-chain prune — the engine improvement that
-/// keeps plain runs at [9]'s storage scale.
-fn bench_global_prune(c: &mut Criterion) {
-    let bench = generators::fp1();
-    let lib = module_library(&bench.tree, 10, 7);
-    let mut group = c.benchmark_group("ablation_global_prune_fp1_n10");
-    group.sample_size(10);
-    group.bench_function("full", |b| {
-        let cfg = OptimizeConfig::default();
-        b.iter(|| optimize_best(&bench.tree, &lib, &cfg).expect("fits"));
-    });
-    group.bench_function("group_only", |b| {
-        let cfg = OptimizeConfig::default().with_global_l_prune(Some(0));
-        b.iter(|| optimize_best(&bench.tree, &lib, &cfg).expect("fits"));
-    });
-    group.bench_function("off", |b| {
-        let cfg = OptimizeConfig::default().with_global_l_prune(None);
-        b.iter(|| optimize_best(&bench.tree, &lib, &cfg).expect("fits"));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_theta,
-    bench_prefilter,
-    bench_metric,
-    bench_global_prune
-);
+criterion_group!(benches, bench_theta, bench_prefilter, bench_metric);
 criterion_main!(benches);

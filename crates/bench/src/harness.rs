@@ -5,7 +5,7 @@
 //! ```
 //!
 //! A suite (`crate::suites`) runs its cases, keeps its determinism
-//! asserts, and hands back rows, constants and gates through a [`Run`].
+//! asserts, and hands back rows, constants and gates through a `Run`.
 //! The harness owns everything around that: argument parsing, the
 //! best-of timer, the peak-RSS running maximum, the artifact envelope,
 //! the schema check, writing, the console report and the gate verdict.

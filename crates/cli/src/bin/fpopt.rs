@@ -51,7 +51,6 @@ selection options (paper knobs):
   --k2 <limit>       enable L_Selection with limit K2
   --theta <0..1]     L_Selection trigger (default 1.0)
   --prefilter <S>    heuristic prefilter threshold (default off)
-  --parallel         reduce L-lists on worker threads (same results)
   --threads <n>      evaluate independent subtrees on <n> worker
                      threads (0 = all cores; default $FP_THREADS or 1;
                      results are identical at any thread count)
@@ -143,7 +142,6 @@ struct Args {
     k2: Option<usize>,
     theta: f64,
     prefilter: Option<usize>,
-    parallel: bool,
     threads: Option<usize>,
     memory: Option<usize>,
     deadline: Option<Duration>,
@@ -183,7 +181,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         k2: None,
         theta: 1.0,
         prefilter: None,
-        parallel: false,
         threads: None,
         memory: None,
         deadline: None,
@@ -347,7 +344,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--gen" => args.gen = Some(value("--gen")?),
             "--trace" => args.trace = Some(value("--trace")?),
             "--profile" => args.profile = true,
-            "--parallel" => args.parallel = true,
             "--threads" => {
                 args.threads = Some(
                     value("--threads")?
@@ -827,11 +823,6 @@ fn main() -> ExitCode {
     }
     if let Some(k2) = args.k2 {
         let mut policy = LReductionPolicy::new(k2).with_theta(args.theta);
-        if args.parallel {
-            policy = policy.with_workers(
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            );
-        }
         if let Some(s) = args.prefilter {
             policy = policy.with_prefilter(s);
         }
@@ -1038,7 +1029,7 @@ fn main() -> ExitCode {
         outcome.stats.elapsed
     );
     if let Some(cache) = &cache {
-        let cs = fp_optimizer::shared_cache_stats(cache);
+        let cs = cache.stats();
         println!(
             "cache: {} hits, {} misses this run; {} insertions, {} evictions lifetime",
             outcome.stats.cache_hits, outcome.stats.cache_misses, cs.insertions, cs.evictions

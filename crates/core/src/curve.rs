@@ -226,6 +226,19 @@ mod tests {
     }
 
     #[test]
+    fn within_budget_extremes() {
+        let list =
+            RList::from_candidates((1..=20u64).map(|i| Rect::new(44 - 2 * i, 3 * i)).collect());
+        // Zero budget keeps everything, at zero error.
+        let strict = r_selection_within(&list, 0).expect("selection");
+        assert_eq!(strict.positions.len(), 20);
+        assert_eq!(strict.error, 0);
+        // An unlimited budget keeps only the endpoints.
+        let lax = r_selection_within(&list, Area::MAX).expect("selection");
+        assert_eq!(lax.positions, vec![0, 19]);
+    }
+
+    #[test]
     fn within_edge_cases() {
         assert_eq!(
             r_selection_within(&RList::new(), 0),

@@ -9,33 +9,19 @@ use crate::{
     Metric, RSelection, SelectError,
 };
 
-/// What an [`RReductionPolicy`] does once it triggers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RAction {
-    /// Reduce to exactly `K₁` implementations (the paper's behaviour).
-    ToSize(usize),
-    /// Reduce to the smallest subset whose staircase error stays within
-    /// the budget (via [`crate::curve::r_selection_within`]).
-    WithinError(fp_geom::Area),
-}
-
 /// Policy for rectangular blocks: reduce any R-list that exceeds `limit`
 /// (the paper's user parameter `K₁`) back down to `limit` implementations
-/// with `R_Selection` — or, in *error-budget* mode, down to the smallest
-/// subset whose staircase error fits a budget.
+/// with `R_Selection`.
 ///
 /// ```
 /// use fp_select::RReductionPolicy;
 ///
 /// let policy = RReductionPolicy::new(30);
 /// assert_eq!(policy.limit(), 30);
-/// let budgeted = RReductionPolicy::error_budget(30, 500);
-/// assert_eq!(budgeted.limit(), 30);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RReductionPolicy {
     limit: usize,
-    action: RAction,
 }
 
 impl RReductionPolicy {
@@ -48,33 +34,10 @@ impl RReductionPolicy {
     #[must_use]
     pub fn new(limit: usize) -> Self {
         assert!(limit >= 2, "K1 must be at least 2, got {limit}");
-        RReductionPolicy {
-            limit,
-            action: RAction::ToSize(limit),
-        }
+        RReductionPolicy { limit }
     }
 
-    /// Creates the error-budget variant: lists exceeding `trigger_len`
-    /// are reduced to the **smallest** subset whose `ERROR(R, R')` does
-    /// not exceed `max_error` (which may keep more or fewer than
-    /// `trigger_len` implementations, depending on the list's geometry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trigger_len < 2`.
-    #[must_use]
-    pub fn error_budget(trigger_len: usize, max_error: fp_geom::Area) -> Self {
-        assert!(
-            trigger_len >= 2,
-            "trigger length must be at least 2, got {trigger_len}"
-        );
-        RReductionPolicy {
-            limit: trigger_len,
-            action: RAction::WithinError(max_error),
-        }
-    }
-
-    /// The trigger length (`K₁` in fixed-size mode).
+    /// The limit `K₁`.
     #[inline]
     #[must_use]
     pub fn limit(&self) -> usize {
@@ -82,32 +45,22 @@ impl RReductionPolicy {
     }
 
     /// Applies the policy: `Some(selection)` when the list exceeds the
-    /// trigger, `None` when no reduction is needed.
+    /// limit, `None` when no reduction is needed.
     #[must_use]
     pub fn apply(&self, list: &RList) -> Option<RSelection> {
         self.apply_scratch(list, &mut CsppScratch::new())
     }
 
-    /// [`RReductionPolicy::apply`] through a caller-owned scratch arena:
-    /// the fixed-size (`ToSize`) selection reuses the arena's buffers.
-    /// The error-budget mode runs the legacy curve machinery and ignores
-    /// the arena. Results are identical either way.
+    /// [`RReductionPolicy::apply`] through a caller-owned scratch arena
+    /// whose buffers the selection reuses. Results are identical either
+    /// way.
     #[must_use]
     pub fn apply_scratch(
         &self,
         list: &RList,
         scratch: &mut CsppScratch<fp_geom::Area>,
     ) -> Option<RSelection> {
-        if list.len() <= self.limit {
-            return None;
-        }
-        match self.action {
-            RAction::ToSize(k) => reduce_rlist_scratch(list, k, scratch),
-            RAction::WithinError(budget) => Some(
-                crate::curve::r_selection_within(list, budget)
-                    .expect("list is non-empty past the trigger"),
-            ),
-        }
+        reduce_rlist_scratch(list, self.limit, scratch)
     }
 }
 
@@ -157,7 +110,6 @@ pub struct LReductionPolicy {
     theta: f64,
     prefilter: Option<usize>,
     metric: Metric,
-    workers: usize,
 }
 
 impl LReductionPolicy {
@@ -175,23 +127,14 @@ impl LReductionPolicy {
             theta: 1.0,
             prefilter: None,
             metric: Metric::L1,
-            workers: 1,
         }
     }
 
-    /// Runs the per-list selections on up to `workers` scoped threads
-    /// (the default, 1, and 0 both reduce sequentially). The result is
-    /// bit-identical to the sequential path (each list is reduced
-    /// independently); only wall-clock time changes, so keep 1 when
-    /// reproducing the paper's single-threaded CPU columns. Callers
-    /// that already own a thread budget — the tree-level scheduler in
-    /// `fp-optimizer` — pass 1 so nested reductions never oversubscribe
-    /// the machine. Since it never changes the reduction's output, the
-    /// worker count is excluded from the policy fingerprint that
-    /// addresses the block cache.
+    /// Accepted for source compatibility and ignored: the per-list
+    /// selections always run on the calling thread, so every worker
+    /// count gives the same policy.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -258,14 +201,6 @@ impl LReductionPolicy {
         self.metric
     }
 
-    /// The worker threads a reduction may use (when one runs, it is
-    /// additionally capped at the block's list count).
-    #[inline]
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Applies the policy to a block's L-list set: `Some(kept positions per
     /// list)` when the reduction fires, `None` otherwise.
     #[must_use]
@@ -305,10 +240,8 @@ pub fn reduce_llist_set(set: &LListSet, policy: &LReductionPolicy) -> Option<Vec
 }
 
 /// [`reduce_llist_set`] through a caller-owned [`SelectScratch`] arena
-/// pair: the sequential path reuses the caller's arena across every
-/// list; the parallel path gives each scoped worker its own local arena
-/// (workers cannot share one `&mut`), so its allocation profile is
-/// unchanged. Output is bit-identical to [`reduce_llist_set`] either way.
+/// pair, reused across every list. Output is bit-identical to
+/// [`reduce_llist_set`].
 #[must_use]
 pub fn reduce_llist_set_scratch(
     set: &LListSet,
@@ -334,49 +267,13 @@ pub fn reduce_llist_set_scratch(
         budgets[i] += 1;
     }
 
-    // A budget of 0 or 1 (or a single list) is the sequential path.
-    let workers = policy.workers.min(lists.len());
-    if workers > 1 {
-        // Each list reduces independently: fan the lists out over scoped
-        // threads in fixed-size stripes and reassemble in order.
-        let mut out: Vec<Vec<Vec<usize>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let budgets = &budgets;
-                handles.push(scope.spawn(move || {
-                    let mut local = SelectScratch::new();
-                    lists
-                        .iter()
-                        .zip(budgets)
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == w)
-                        .map(|(_, (list, &budget))| reduce_one(list, budget, policy, &mut local))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            out = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect();
-        });
-        // Un-stripe: element j of worker w is list w + j * workers.
-        let mut result = vec![Vec::new(); lists.len()];
-        for (w, chunk) in out.into_iter().enumerate() {
-            for (j, positions) in chunk.into_iter().enumerate() {
-                result[w + j * workers] = positions;
-            }
-        }
-        Some(result)
-    } else {
-        Some(
-            lists
-                .iter()
-                .zip(&budgets)
-                .map(|(list, &b)| reduce_one(list, b, policy, scratch))
-                .collect(),
-        )
-    }
+    Some(
+        lists
+            .iter()
+            .zip(&budgets)
+            .map(|(list, &b)| reduce_one(list, b, policy, scratch))
+            .collect(),
+    )
 }
 
 /// Reduces a single list to its budget under the policy's controls.
@@ -458,34 +355,6 @@ mod tests {
     #[should_panic(expected = "K1 must be at least 2")]
     fn r_policy_rejects_tiny_limit() {
         let _ = RReductionPolicy::new(1);
-    }
-
-    #[test]
-    fn r_error_budget_mode() {
-        let list =
-            RList::from_candidates((1..=20u64).map(|i| Rect::new(44 - 2 * i, 3 * i)).collect());
-        // Zero budget => keep everything (error must be 0).
-        let strict = RReductionPolicy::error_budget(10, 0);
-        let sel = strict.apply(&list).expect("triggered");
-        assert_eq!(sel.positions.len(), 20);
-        assert_eq!(sel.error, 0);
-        // Huge budget => endpoints only.
-        let lax = RReductionPolicy::error_budget(10, fp_geom::Area::MAX);
-        let sel = lax.apply(&list).expect("triggered");
-        assert_eq!(sel.positions.len(), 2);
-        // Below the trigger nothing happens.
-        let small = RList::from_candidates(vec![Rect::new(4, 1), Rect::new(1, 4)]);
-        assert_eq!(lax.apply(&small), None);
-        // The selection respects the budget and is minimal.
-        let mid = RReductionPolicy::error_budget(10, 100);
-        let sel = mid.apply(&list).expect("triggered");
-        assert!(sel.error <= 100);
-        let curve = crate::curve::r_selection_curve(&list);
-        for p in curve {
-            if p.k < sel.positions.len() {
-                assert!(p.error > 100, "k = {} should exceed the budget", p.k);
-            }
-        }
     }
 
     #[test]
@@ -585,42 +454,6 @@ mod tests {
         ])
         .expect("valid chain");
         assert_eq!(super::medoid(&list, Metric::L1), 2);
-    }
-
-    #[test]
-    fn parallel_reduction_is_bit_identical() {
-        // Many lists of varying length in disjoint size regimes.
-        let mut shapes = Vec::new();
-        for g in 0..12u64 {
-            let len = 3 + (g % 5);
-            for i in 0..len {
-                // Anti-correlated across groups (wider groups are flatter)
-                // so no cross-group dominance removes whole lists.
-                shapes.push(LShape::new_canonical(
-                    1000 * (13 - g) - 3 * i,
-                    50 + g,
-                    100 * (g + 1) + 2 * i,
-                    40 * (g + 1) + i,
-                ));
-            }
-        }
-        let set = LListSet::from_candidates(shapes);
-        assert!(set.lists().len() >= 10);
-        let seq = LReductionPolicy::new(20).apply(&set).expect("fires");
-        let par = LReductionPolicy::new(20)
-            .with_workers(4)
-            .apply(&set)
-            .expect("fires");
-        assert_eq!(seq, par);
-        // Any explicit worker budget (including the degenerate 0/1 that
-        // falls back to the sequential path) is bit-identical too.
-        for budget in [0usize, 1, 2, 3, 64] {
-            let capped = LReductionPolicy::new(20)
-                .with_workers(budget)
-                .apply(&set)
-                .expect("fires");
-            assert_eq!(seq, capped, "budget {budget} diverged");
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Rectangle implementations: `(w, h)` pairs with dominance.
 
-use core::cmp::Ordering;
 use core::fmt;
 
 use crate::{area, Area, Coord};
@@ -113,14 +112,6 @@ impl Rect {
         } else {
             hi as f64 / lo as f64
         }
-    }
-
-    /// Orders by `(w, h)` lexicographically. This is **not** dominance; it
-    /// is the canonical sort used to build staircases.
-    #[inline]
-    #[must_use]
-    pub fn cmp_lex(self, other: Rect) -> Ordering {
-        (self.w, self.h).cmp(&(other.w, other.h))
     }
 }
 

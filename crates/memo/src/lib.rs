@@ -407,12 +407,6 @@ impl<V: Weigh> ShardedMemoCache<V> {
         }
     }
 
-    /// A cache with the [`DEFAULT_SHARDS`] shard count.
-    #[must_use]
-    pub fn with_default_shards(budget_bytes: usize) -> Self {
-        ShardedMemoCache::new(budget_bytes, DEFAULT_SHARDS)
-    }
-
     /// Number of shards (always a power of two).
     #[must_use]
     pub fn shard_count(&self) -> usize {

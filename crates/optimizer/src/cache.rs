@@ -20,15 +20,12 @@
 //!
 //! * editing a module's implementation list re-addresses its leaf and all
 //!   root-path ancestors (siblings keep their addresses → cache hits);
-//! * changing a selection policy (`K₁`, `K₂`, θ, `S`, metric) or the
-//!   global L-prune threshold changes the salt, re-addressing everything;
+//! * changing a selection policy (`K₁`, `K₂`, θ, `S`, metric) changes
+//!   the salt, re-addressing everything;
 //! * the memory budget, deadline, cancellation, fault plans, objective,
-//!   and fixed outline do **not** participate: they never change the
-//!   *content* of a cleanly committed block, only whether/when a run
-//!   trips or which root implementation is traced back;
-//! * the `--parallel` L-reduction flag does not participate either — the
-//!   parallel path is bit-equal to the serial one (enforced by the
-//!   `parallel_equivalence` property tests).
+//!   fixed outline and thread count do **not** participate: they never
+//!   change the *content* of a cleanly committed block, only whether/when
+//!   a run trips or which root implementation is traced back.
 //!
 //! Runs on which the rescue ladder fires stop consulting *and* stop
 //! populating the cache at the first trip: rescued blocks are built
@@ -370,11 +367,12 @@ pub trait BlockCache {
 }
 
 /// The standard shared cache: a byte-budgeted LRU sharded across
-/// fingerprint-routed per-shard locks ([`ShardedMemoCache`]), usable from
-/// one session, many server workers, or the tree-level scheduler's worker
-/// pool alike. Sharding keeps concurrent lookups from convoying on one
-/// mutex: fingerprints are uniform, so threads hammering the cache spread
-/// across [`DEFAULT_SHARDS`] independent locks.
+/// fingerprint-routed per-shard locks ([`fp_memo::ShardedMemoCache`]),
+/// usable from one session, many server workers, or the tree-level
+/// scheduler's worker pool alike. Sharding keeps concurrent lookups from
+/// convoying on one mutex: fingerprints are uniform, so threads
+/// hammering the cache spread across [`DEFAULT_SHARDS`] independent
+/// locks.
 pub struct SharedBlockCache {
     inner: PersistentCache<CachedBlock>,
 }
@@ -535,12 +533,6 @@ pub fn shared_cache(budget_bytes: usize) -> SharedBlockCache {
     SharedBlockCache::new(budget_bytes)
 }
 
-/// Counter snapshot of a shared cache (merged across shards).
-#[must_use]
-pub fn shared_cache_stats(cache: &SharedBlockCache) -> CacheStats {
-    cache.stats()
-}
-
 impl BlockCache for SharedBlockCache {
     fn lookup(&self, key: Fingerprint, visit: &mut dyn FnMut(&CachedBlock)) -> bool {
         // A poisoned shard (a worker panicked mid-access) degrades to a
@@ -596,13 +588,11 @@ pub fn policy_fingerprint(config: &OptimizeConfig) -> Fingerprint {
             }
         }
     }
-    match config.global_l_prune {
-        None => h.write_u64(0),
-        Some(t) => {
-            h.write_u64(1);
-            h.write_usize(t);
-        }
-    }
+    // The cross-chain prune threshold: a constant now, still hashed as
+    // the `Some(threshold)` it was when it was an option, so persisted
+    // stores keep their addresses.
+    h.write_u64(1);
+    h.write_usize(OptimizeConfig::DEFAULT_GLOBAL_L_PRUNE);
     // Appended only when set, so salt-free fingerprints (and every
     // cache written before the salt existed) stay byte-identical.
     if config.extra_salt != 0 {
@@ -627,10 +617,6 @@ mod tests {
         assert_ne!(
             fp,
             policy_fingerprint(&base.clone().with_l_selection(LReductionPolicy::new(30)))
-        );
-        assert_ne!(
-            fp,
-            policy_fingerprint(&base.clone().with_global_l_prune(None))
         );
         let theta = base
             .clone()
@@ -672,15 +658,6 @@ mod tests {
                     .with_auto_rescue(true)
             )
         );
-        // The worker count is result-invariant (property-tested), so it
-        // must share the address space with the serial path.
-        let serial = base
-            .clone()
-            .with_l_selection(LReductionPolicy::new(30).with_workers(1));
-        let parallel = base
-            .clone()
-            .with_l_selection(LReductionPolicy::new(30).with_workers(4));
-        assert_eq!(policy_fingerprint(&serial), policy_fingerprint(&parallel));
     }
 
     fn sample_l_block() -> CachedBlock {
@@ -833,7 +810,7 @@ mod tests {
         assert!(cloned(7).is_none());
         cache.store(7, block.clone());
         assert_eq!(cloned(7), Some(block));
-        let stats = shared_cache_stats(&cache);
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
     }
 }

@@ -106,12 +106,6 @@ pub struct OptimizeConfig {
     /// Implementation budget; `None` is truly unlimited (can exhaust the
     /// host machine on large floorplans — that is the paper's point).
     pub memory_limit: Option<usize>,
-    /// Cross-chain dominance pruning of L-blocks. `Some(t)` runs the cheap
-    /// same-`w2` prune always and the full (quadratic worst case) 4-D
-    /// prune while the block holds at most `t` implementations; `Some(0)`
-    /// keeps only the cheap pass; `None` disables both (per-chain pruning
-    /// only — an ablation mode that mimics a naive implementation).
-    pub global_l_prune: Option<usize>,
     /// What to minimize at the root.
     pub objective: Objective,
     /// Fixed-outline constraint: only root implementations fitting inside
@@ -131,9 +125,6 @@ pub struct OptimizeConfig {
     /// Deterministic fault-injection plan (testing aid): charges fail at
     /// the configured allocation ordinals as if the budget had tripped.
     pub fault_plan: Option<FaultPlan>,
-    /// How many rescue retries the whole run may spend before the original
-    /// trip is reported anyway.
-    pub max_rescue_attempts: u32,
     /// Worker threads for the tree-level scheduler: `1` runs the classic
     /// serial bottom-up pass, `n > 1` builds independent sibling
     /// subtrees on the calling thread plus `n − 1` scoped helpers, and
@@ -166,7 +157,9 @@ impl OptimizeConfig {
     /// The default budget used by [`OptimizeConfig::default`].
     pub const DEFAULT_MEMORY_LIMIT: usize = 10_000_000;
 
-    /// The default cross-chain pruning threshold.
+    /// The cross-chain pruning threshold: every L-block gets the cheap
+    /// same-`w2` prune, and the full (quadratic worst case) 4-D prune
+    /// runs while the block holds at most this many implementations.
     pub const DEFAULT_GLOBAL_L_PRUNE: usize = 50_000;
 
     /// The default scheduler split granularity: the smallest task size,
@@ -190,11 +183,12 @@ impl OptimizeConfig {
     /// per-task costs provably cost more than the parallelism returns.
     pub const AUTO_SERIAL_FACTOR: usize = 16;
 
-    /// The default cap on run-wide rescue retries. Under a brutally tight
-    /// budget every join of a large tree can trip once at the ladder's
-    /// floor (re-selecting its operands each time), so the cap must
-    /// comfortably exceed the ladder's rung count plus the block count of
-    /// the paper's benchmarks.
+    /// The cap on run-wide rescue retries: past it, the original trip is
+    /// reported anyway. Under a brutally tight budget every join of a
+    /// large tree can trip once at the ladder's floor (re-selecting its
+    /// operands each time), so the cap must comfortably exceed the
+    /// ladder's rung count plus the block count of the paper's
+    /// benchmarks.
     pub const DEFAULT_MAX_RESCUE_ATTEMPTS: u32 = 256;
 
     /// Plain run (no selection) with the default budget.
@@ -204,14 +198,12 @@ impl OptimizeConfig {
             r_policy: None,
             l_policy: None,
             memory_limit: Some(Self::DEFAULT_MEMORY_LIMIT),
-            global_l_prune: Some(Self::DEFAULT_GLOBAL_L_PRUNE),
             objective: Objective::MinArea,
             outline: None,
             auto_rescue: false,
             deadline: None,
             cancel: None,
             fault_plan: None,
-            max_rescue_attempts: Self::DEFAULT_MAX_RESCUE_ATTEMPTS,
             threads: default_threads(),
             split_threshold: Self::DEFAULT_SPLIT_THRESHOLD,
             extra_salt: 0,
@@ -299,13 +291,6 @@ impl OptimizeConfig {
         self
     }
 
-    /// Overrides the global L-block pruning threshold.
-    #[must_use]
-    pub fn with_global_l_prune(mut self, threshold: Option<usize>) -> Self {
-        self.global_l_prune = threshold;
-        self
-    }
-
     /// Run with `R_Selection` at limit `k1`.
     #[must_use]
     pub fn with_r_selection(mut self, k1: usize) -> Self {
@@ -355,13 +340,6 @@ impl OptimizeConfig {
         self
     }
 
-    /// Caps run-wide rescue retries.
-    #[must_use]
-    pub fn with_max_rescue_attempts(mut self, attempts: u32) -> Self {
-        self.max_rescue_attempts = attempts;
-        self
-    }
-
     /// Folds `salt` into the cache's policy fingerprint (see
     /// [`OptimizeConfig::extra_salt`]). `0` restores the default,
     /// salt-free fingerprint.
@@ -382,9 +360,7 @@ impl OptimizeConfig {
     /// 3. **defaults** — a serial scheduler.
     ///
     /// In the returned config `threads` is never `0` (available
-    /// parallelism is resolved at call time). An L-policy's worker
-    /// count is always concrete ([`LReductionPolicy::with_workers`],
-    /// default 1) and passes through unchanged. Binaries, the batch
+    /// parallelism is resolved at call time). Binaries, the batch
     /// server, and trace metadata echo this resolved config instead of
     /// re-deriving the precedence themselves. Resolution never changes
     /// results — only scheduling.
@@ -432,7 +408,7 @@ fn default_threads() -> usize {
     })
 }
 
-/// Errors reported by [`optimize`].
+/// Errors reported by an [`Optimizer`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptError {
     /// The floorplan tree is structurally invalid.
@@ -678,7 +654,7 @@ impl fmt::Display for DegradationEvent {
 }
 
 /// A successful run plus its fault-tolerance report: whether the rescue
-/// ladder fired and what it degraded. Returned by [`optimize_report`].
+/// ladder fired and what it degraded. Returned by [`Optimizer::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// The optimization result (its `stats.degradations` carries the
@@ -1135,7 +1111,6 @@ pub(crate) fn serial_frontier(
                             *op,
                             cols.view(l),
                             cols.view(r),
-                            config,
                             &eff,
                             &mut gov,
                             &mut stats,
@@ -1172,7 +1147,8 @@ pub(crate) fn serial_frontier(
                             elapsed_ns: ns(start.elapsed()),
                         });
                     }
-                    let exhausted = stats.rescue_attempts >= config.max_rescue_attempts;
+                    let exhausted =
+                        stats.rescue_attempts >= OptimizeConfig::DEFAULT_MAX_RESCUE_ATTEMPTS;
                     if !(config.auto_rescue && trip.is_rescuable()) || exhausted {
                         return Err(trip_error(trip, index, live_at_trip, gov.peak()));
                     }
@@ -1338,7 +1314,6 @@ fn tighten(eff: &mut EffectivePolicies) -> bool {
             let mut theta = l.theta();
             let mut prefilter = l.prefilter();
             let metric = l.metric();
-            let workers = l.workers();
             // Tighten the trigger and the heuristic first, then the limit.
             if theta < 1.0 {
                 theta = 1.0;
@@ -1352,8 +1327,7 @@ fn tighten(eff: &mut EffectivePolicies) -> bool {
             }
             let mut next = LReductionPolicy::new(k2)
                 .with_theta(theta)
-                .with_metric(metric)
-                .with_workers(workers);
+                .with_metric(metric);
             if let Some(s) = prefilter {
                 next = next.with_prefilter(s.max(k2));
             }
@@ -1408,7 +1382,6 @@ pub(crate) fn build_join<G: Governor>(
     op: BinOp,
     left: View<'_>,
     right: View<'_>,
-    config: &OptimizeConfig,
     eff: &EffectivePolicies,
     gov: &mut G,
     stats: &mut RunStats,
@@ -1430,7 +1403,7 @@ pub(crate) fn build_join<G: Governor>(
         BinOp::WheelS3 => wheel_s3(left, right, out, gov)?,
         BinOp::WheelS4 => wheel_s4(left, right, out, gov)?,
     }
-    global_l_prune(out, config, gov, join);
+    global_l_prune(out, OptimizeConfig::DEFAULT_GLOBAL_L_PRUNE, gov, join);
     let dropped = select_staged(out, eff, stats, join, node, tc)?;
     gov.discard(dropped);
     if let Some(started) = started {
@@ -1667,20 +1640,18 @@ fn wheel_s4<G: Governor>(
 /// `A` arm whose heights bring no benefit). The full 4-D prune removes
 /// them and re-chains the survivors — this is what keeps the plain
 /// algorithm's non-redundant counts at \[9\]'s scale. The cross-`w2`
-/// pass is skipped above the configured threshold
-/// ([`fp_shape::prune::prune_l_block`] documents both passes).
+/// pass is skipped above `cross_limit` implementations
+/// ([`fp_shape::prune::prune_l_block`] documents both passes); the
+/// engine passes [`OptimizeConfig::DEFAULT_GLOBAL_L_PRUNE`].
 fn global_l_prune<G: Governor>(
     out: &mut Staged,
-    config: &OptimizeConfig,
+    cross_limit: usize,
     meter: &mut G,
     scratch: &mut JoinScratch,
 ) {
     if out.kind != Kind::L {
         return;
     }
-    let Some(cross_limit) = config.global_l_prune else {
-        return;
-    };
     let Staged {
         shapes,
         prov,
@@ -1794,9 +1765,8 @@ fn select_staged(
 /// `monge_fallback`) event for one *effective* policy application —
 /// declined applications (the block already fits) stay silent, so the
 /// event count equals `RunStats::{r,l}_reductions`. The dominant solver
-/// kind is classified from the arena's dispatch-counter delta; the
-/// error-budget R mode bypasses the arena entirely (zero delta), which
-/// reports as the legacy kind.
+/// kind is classified from the arena's dispatch-counter delta; a zero
+/// delta reports as the legacy kind.
 fn emit_selection(
     tc: TraceCtx<'_>,
     node: u32,
@@ -2391,12 +2361,11 @@ mod l_prune_tests {
     ///
     /// Returns the pruned block.
     fn check(block: &Block, limit: usize) -> Block {
-        let config = OptimizeConfig::default().with_global_l_prune(Some(limit));
         let mut gov = ResourceGovernor::new(None);
         let mut current = Staged::default();
         current.begin(Kind::L);
         (current.shapes, current.prov, current.chains) = block.clone();
-        global_l_prune(&mut current, &config, &mut gov, &mut JoinScratch::new());
+        global_l_prune(&mut current, limit, &mut gov, &mut JoinScratch::new());
         let current = into_block(&mut current);
 
         let zipped: Vec<(LShape, (u32, u32))> = block

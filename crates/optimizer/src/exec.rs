@@ -266,28 +266,6 @@ impl<T> JobHandle<T> {
             }
         }
     }
-
-    /// Consumes the handle and returns the result if the job already
-    /// completed; hands the handle back (still joinable) otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Re-throws the job's panic if the job panicked.
-    pub fn try_join(self) -> Result<T, Self> {
-        let mut slot = lock_or_recover(&self.state.slot);
-        match std::mem::replace(&mut *slot, Slot::Pending) {
-            Slot::Done(value) => {
-                drop(slot);
-                Ok(value)
-            }
-            Slot::Panicked(payload) => resume_unwind(payload),
-            pending => {
-                *slot = pending;
-                drop(slot);
-                Err(self)
-            }
-        }
-    }
 }
 
 /// A grant of extra pool threads to an in-job scoped pool (a tree split
@@ -394,11 +372,6 @@ impl Executor {
     /// emitted for every job from now on.
     pub fn set_tracer(&self, tracer: &Tracer) {
         *lock_or_recover(&self.shared.tracer) = Some(tracer.clone());
-    }
-
-    /// Detaches the tracer.
-    pub fn clear_tracer(&self) {
-        *lock_or_recover(&self.shared.tracer) = None;
     }
 
     /// Jobs waiting in the queue (not yet started).

@@ -57,8 +57,7 @@ pub mod stockmeyer;
 mod store;
 
 pub use cache::{
-    policy_fingerprint, shared_cache, shared_cache_stats, BlockCache, CachedBlock, CachedShapes,
-    SharedBlockCache,
+    policy_fingerprint, shared_cache, BlockCache, CachedBlock, CachedShapes, SharedBlockCache,
 };
 pub use engine::{
     DegradationEvent, Frontier, Objective, OptError, OptimizeConfig, Optimizer, Outcome,

@@ -337,7 +337,6 @@ struct TaskOut {
 struct WorkerCtx<'a> {
     bin: &'a BinaryTree,
     library: &'a ModuleLibrary,
-    config: &'a OptimizeConfig,
     eff: &'a EffectivePolicies,
     cache: Option<&'a (dyn BlockCache + Sync)>,
     fps: Option<&'a [Fingerprint]>,
@@ -463,18 +462,14 @@ pub(crate) fn try_parallel(
         deadline: config.deadline,
         cancel: config.cancel.clone(),
     };
-    // Workers run the per-join L-reduction sequentially (budget 1): the
-    // tree-level pool already owns every thread of the budget, and the
-    // reduction is bit-identical at any worker count.
     let eff = EffectivePolicies {
         r: config.r_policy,
-        l: config.l_policy.clone().map(|l| l.with_workers(1)),
+        l: config.l_policy.clone(),
     };
     let next = AtomicUsize::new(0);
     let ctx = WorkerCtx {
         bin: &bin,
         library,
-        config,
         eff: &eff,
         cache,
         fps,
@@ -762,7 +757,6 @@ fn build_node(
                         *op,
                         left,
                         right,
-                        ctx.config,
                         ctx.eff,
                         &mut gov,
                         &mut node_stats,

@@ -88,7 +88,7 @@ use fp_tree::format::{parse_instance, FloorplanInstance};
 use fp_tree::generators;
 use fp_tree::{FloorplanTree, ModuleLibrary};
 
-use crate::cache::{shared_cache, shared_cache_stats, SharedBlockCache};
+use crate::cache::{shared_cache, SharedBlockCache};
 use crate::engine::{Objective, OptError, OptimizeConfig, Optimizer, RunOutcome};
 use crate::exec::{Executor, Lease};
 use crate::governor::CancelToken;
@@ -1789,8 +1789,10 @@ fn optimize_reply(
             obj.str("instance", &instance.name);
             obj.u64("threads", resolved.echoed.threads as u64);
             obj.bool("auto_serial", resolved.auto_serial);
-            if let Some(l) = &resolved.echoed.l_policy {
-                obj.u64("lred_workers", l.workers() as u64);
+            // The L-reduction always runs on the run's own threads; the
+            // key stays so replies keep their bytes.
+            if resolved.echoed.l_policy.is_some() {
+                obj.u64("lred_workers", 1);
             }
             obj.u128("area", outcome.area);
             obj.u64("width", outcome.root_impl.w);
@@ -2083,8 +2085,8 @@ fn execute_inner(
             }
         }
         Method::Stats => {
-            let stats = shared_cache_stats(state.cache());
             let cache = state.cache();
+            let stats = cache.stats();
             let (bytes, entries, budget) = (cache.bytes(), cache.len(), cache.budget_bytes());
             let mut obj = response_head(id, line_no, STATUS_OK);
             obj.u64("proto", PROTO_VERSION);

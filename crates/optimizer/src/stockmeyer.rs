@@ -1,11 +1,11 @@
 //! An independent slicing-floorplan optimizer (Stockmeyer 1983), used as a
 //! baseline and as a cross-check of the main engine on slicing inputs.
 //!
-//! This implementation deliberately shares no machinery with
-//! [`crate::optimize`]: it recurses directly over the floorplan tree,
-//! merging children's R-lists, and backtracks by re-deriving each merge.
-//! On any wheel-free floorplan its optimum must coincide with the engine's
-//! (a cross-validation test enforces this).
+//! This implementation deliberately shares no machinery with the
+//! [`crate::Optimizer`] engine: it recurses directly over the floorplan
+//! tree, merging children's R-lists, and backtracks by re-deriving each
+//! merge. On any wheel-free floorplan its optimum must coincide with the
+//! engine's (a cross-validation test enforces this).
 
 use core::fmt;
 

@@ -4,8 +4,9 @@
 //! The build environment has no access to a crates registry, so the real
 //! proptest cannot be a dependency. Property-based tests are too valuable
 //! to drop, hence this shim: the same `proptest!` macro surface,
-//! [`Strategy`] combinators, and collection/array/tuple strategies, driven
-//! by the workspace's own seeded [`fp_prng`] generator.
+//! [`Strategy`](strategy::Strategy) combinators, and collection/array/
+//! tuple strategies, driven by the workspace's own seeded [`fp_prng`]
+//! generator.
 //!
 //! Differences from the real crate (documented, deliberate):
 //!
@@ -306,7 +307,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

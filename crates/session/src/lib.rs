@@ -44,8 +44,8 @@ use std::path::Path;
 
 use fp_memo::CacheStats;
 use fp_optimizer::{
-    shared_cache, shared_cache_stats, OptError, OptimizeConfig, Optimizer, PersistError,
-    RecoveryReport, RunOutcome, SharedBlockCache, Tracer,
+    shared_cache, OptError, OptimizeConfig, Optimizer, PersistError, RecoveryReport, RunOutcome,
+    SharedBlockCache, Tracer,
 };
 use fp_tree::{FloorplanTree, Module, ModuleId, ModuleLibrary};
 
@@ -327,7 +327,7 @@ impl Session {
             runs: self.runs,
             module_edits: self.module_edits,
             policy_edits: self.policy_edits,
-            cache: shared_cache_stats(&self.cache),
+            cache: self.cache.stats(),
             cache_entries,
             cache_bytes,
             cache_budget_bytes,

@@ -1,15 +1,19 @@
 //! Optimizer-level persistence integration: a warm restart over the
 //! segment store must reproduce the cold run's outcome *byte for byte*
 //! with zero rebuilds, the on-disk records must round-trip through the
-//! [`CachedBlock`] codec identically, and a corrupted store must
-//! degrade to recomputation — never to a panic or a stale answer.
+//! [`CachedBlock`] codec identically, a corrupted store must degrade to
+//! recomputation — never to a panic or a stale answer — and the salts
+//! and block addresses a store is keyed by must not drift.
 
 use std::path::{Path, PathBuf};
 
 use fp_memo::{scan_store, Codec, SegmentHealth, HEADER_BYTES};
 use fp_optimizer::cache::SharedBlockCache;
 use fp_optimizer::{policy_fingerprint, CachedBlock, OptimizeConfig, Optimizer, Outcome};
+use fp_select::{LReductionPolicy, Metric};
+use fp_tree::fingerprint::block_fingerprints;
 use fp_tree::generators;
+use fp_tree::restructure::restructure;
 use fp_tree::{FloorplanTree, ModuleLibrary};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -153,4 +157,62 @@ fn policy_change_cold_starts_the_store() {
     assert_eq!(cache.recovery().recovered_entries, 0);
     assert!(cache.recovery().foreign_salt_segments > 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Persisted stores (`fpopt --cache-file`, `Session`, fpserved) are
+/// salted with `policy_fingerprint`, so a change to its bytes or to the
+/// block addresses silently cold-starts every store on disk. These
+/// literals were computed once and must never change.
+#[test]
+fn store_salts_and_block_addresses_are_pinned() {
+    let paper_rl = OptimizeConfig::default()
+        .with_r_selection(24)
+        .with_l_selection(
+            LReductionPolicy::new(300)
+                .with_theta(1.0)
+                .with_prefilter(1000),
+        );
+    let l2 = OptimizeConfig::default().with_l_selection(
+        LReductionPolicy::new(30)
+            .with_theta(0.5)
+            .with_metric(Metric::L2),
+    );
+    let pinned: [(&str, OptimizeConfig, u128); 4] = [
+        (
+            "default",
+            OptimizeConfig::default(),
+            0x9602_e8db_392c_7f7f_9913_e793_c104_3cfe,
+        ),
+        (
+            "paper-rl",
+            paper_rl,
+            0x6532_1d14_0287_4156_0e2f_338b_ea06_e44b,
+        ),
+        (
+            "extra salt 7",
+            OptimizeConfig::default().with_extra_salt(7),
+            0xa7e4_052c_fe9a_fa77_3fbb_368b_79fe_5e21,
+        ),
+        ("K2 30, L2", l2, 0xaaae_8b64_bc8d_6fb1_ad96_3d9c_c919_26a6),
+    ];
+    for (label, config, expected) in &pinned {
+        assert_eq!(
+            policy_fingerprint(config),
+            *expected,
+            "{label}: policy fingerprint drifted"
+        );
+    }
+
+    // FP1, N = 8, library seed 1: the root block's address under the
+    // default salt.
+    let bench = generators::fp1();
+    let library = generators::module_library(&bench.tree, 8, 1);
+    let bin = restructure(&bench.tree).expect("FP1 restructures");
+    let salt = policy_fingerprint(&OptimizeConfig::default());
+    let fps = block_fingerprints(&bin, &library, salt);
+    assert_eq!(
+        fps.last().copied(),
+        Some(0x99af_0e6b_a024_ff1e_e283_88af_2e20_b6d9),
+        "FP1 root block address drifted"
+    );
 }

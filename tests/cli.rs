@@ -76,7 +76,6 @@ fn selection_flags_are_applied() {
             "200",
             "--prefilter",
             "2000",
-            "--parallel",
         ])
         .output()
         .expect("runs");

@@ -238,57 +238,6 @@ fn pinwheel_asset_is_tight() {
     assert_eq!(layout.dead_space(), 0);
 }
 
-/// The error-budget R policy flows through the optimizer: a zero budget
-/// reproduces the plain optimum exactly, and a generous budget still
-/// yields a realizable floorplan.
-#[test]
-fn error_budget_policy_in_engine() {
-    use fp_select::RReductionPolicy;
-    let bench = generators::fp1();
-    let lib = generators::module_library(&bench.tree, 8, 13);
-    let plain = optimize(&bench.tree, &lib, &OptimizeConfig::default()).expect("runs");
-
-    let zero_cfg = OptimizeConfig {
-        r_policy: Some(RReductionPolicy::error_budget(8, 0)),
-        ..OptimizeConfig::default()
-    };
-    let zero = optimize(&bench.tree, &lib, &zero_cfg).expect("runs");
-    assert_eq!(zero.area, plain.area, "zero budget keeps everything");
-
-    let lax_cfg = OptimizeConfig {
-        r_policy: Some(RReductionPolicy::error_budget(8, 50)),
-        ..OptimizeConfig::default()
-    };
-    let lax = optimize(&bench.tree, &lib, &lax_cfg).expect("runs");
-    assert!(lax.area >= plain.area);
-    assert!(lax.stats.peak_impls <= plain.stats.peak_impls);
-    let layout = realize(&bench.tree, &lib, &lax.assignment).expect("valid");
-    assert_eq!(layout.area(), lax.area);
-}
-
-/// The parallel L-reduction path produces byte-identical outcomes to the
-/// sequential one through the whole optimizer.
-#[test]
-fn parallel_policy_is_equivalent_in_engine() {
-    let bench = generators::fp2();
-    let lib = generators::module_library(&bench.tree, 8, 21);
-    let base = OptimizeConfig::default()
-        .with_r_selection(12)
-        .with_l_selection(LReductionPolicy::new(200).with_prefilter(2000));
-    let par = OptimizeConfig::default()
-        .with_r_selection(12)
-        .with_l_selection(
-            LReductionPolicy::new(200)
-                .with_prefilter(2000)
-                .with_workers(2),
-        );
-    let a = optimize(&bench.tree, &lib, &base).expect("runs");
-    let b = optimize(&bench.tree, &lib, &par).expect("runs");
-    assert_eq!(a.area, b.area);
-    assert_eq!(a.assignment, b.assignment);
-    assert_eq!(a.stats.peak_impls, b.stats.peak_impls);
-}
-
 /// The §6 pipeline end-to-end: discretize a continuous shape curve
 /// densely, compress it with error-budgeted R_Selection, and floorplan
 /// with the compact library — the area stays near the dense optimum.

@@ -7,8 +7,8 @@
 use std::time::Duration;
 
 use fp_optimizer::{
-    shared_cache_stats, BlockCache, CancelToken, FaultPlan, Frontier, OptError, OptimizeConfig,
-    Optimizer, RunOutcome, RunStats, SharedBlockCache,
+    BlockCache, CancelToken, FaultPlan, Frontier, OptError, OptimizeConfig, Optimizer, RunOutcome,
+    RunStats, SharedBlockCache,
 };
 use fp_select::LReductionPolicy;
 use fp_tree::generators::{self, Benchmark};
@@ -129,16 +129,15 @@ fn thread_sweep_clean_runs_are_bit_identical() {
     }
 }
 
-/// Selection policies (R and L, including the per-join parallel
-/// L-reduction) compose with the tree-level pool without changing
-/// results.
+/// Selection policies (R and L) compose with the tree-level pool without
+/// changing results.
 #[test]
 fn thread_sweep_with_selection_policies() {
     for (bench, lib) in benches() {
         let config = |threads: usize| {
             OptimizeConfig::default()
                 .with_r_selection(12)
-                .with_l_selection(LReductionPolicy::new(24).with_theta(0.8).with_workers(2))
+                .with_l_selection(LReductionPolicy::new(24).with_theta(0.8))
                 .with_threads(threads)
                 .with_split_threshold(4)
         };
@@ -246,7 +245,7 @@ fn thread_sweep_with_shared_cache() {
             cold.stats().cache_hits,
             cold.stats().cache_misses,
             warm.stats().cache_hits,
-            shared_cache_stats(&cache).insertions,
+            cache.stats().insertions,
         );
         match &baseline {
             None => baseline = Some(snapshot),

@@ -7,8 +7,8 @@
 use fp_geom::Rect;
 use fp_memo::Fingerprint;
 use fp_optimizer::{
-    policy_fingerprint, shared_cache_stats, BlockCache, CachedBlock, CachedShapes, Frontier,
-    OptError, OptimizeConfig, Optimizer, SharedBlockCache,
+    policy_fingerprint, BlockCache, CachedBlock, CachedShapes, Frontier, OptError, OptimizeConfig,
+    Optimizer, SharedBlockCache,
 };
 use fp_session::{Session, SessionError};
 use fp_tree::fingerprint::block_fingerprints;
@@ -185,7 +185,7 @@ fn cache_fill_past_budget_evicts_least_recently_used() {
     assert!(!hits(&cache, 3), "second eviction follows recency");
     assert!(hits(&cache, 1) && hits(&cache, 5));
 
-    let stats = shared_cache_stats(&cache);
+    let stats = cache.stats();
     assert_eq!(stats.evictions, 2);
     assert_eq!(stats.insertions, 5);
     let (bytes, budget) = (cache.bytes(), cache.budget_bytes());
